@@ -22,9 +22,8 @@
 use std::path::PathBuf;
 
 use unsync_bench::campaign::{
-    normalized_lines, run_collected, run_mapped, CampaignEngine, CampaignGrid,
+    normalized_lines, run_collected, CampaignEngine, CampaignGrid, COMPARE_SCHEMES,
 };
-use unsync_bench::dashboard::histogram_percentile;
 use unsync_bench::roec_uncore::SCHEMES;
 use unsync_bench::runlog::{self, metrics_snapshot_json, Json};
 use unsync_bench::Runner;
@@ -101,15 +100,7 @@ fn compare_grid(seed: u64, smoke: bool) -> CampaignGrid {
             inst_count: 400,
             seeds: vec![seed, seed + 1],
             workloads: vec![workload("gzip"), workload("kernel:qsort")],
-            schemes: vec![
-                "lockstep",
-                "reunion",
-                "checkpoint",
-                "unsync_pair",
-                "tmr_vote",
-                "flex",
-                "secded_only",
-            ],
+            schemes: COMPARE_SCHEMES.to_vec(),
             strikes: None,
             contention: None,
         }
@@ -159,24 +150,6 @@ fn bench_grid(grid: &CampaignGrid, smoke: bool) -> Json {
     println!("  sequential loop: {seq_ms} ms");
 
     let sweep = worker_sweep();
-    let canonical_workers = *sweep.last().expect("sweep is non-empty");
-
-    // The pre-engine parallel path: `Runner::map` barrier collection at
-    // the canonical worker count, trace + golden recomputed per job.
-    let mapped_runner = Runner::new(canonical_workers);
-    let mut map_samples = Vec::new();
-    for _ in 0..reps {
-        let started = std::time::Instant::now();
-        let lines = run_mapped(grid, &mapped_runner);
-        map_samples.push(started.elapsed().as_millis() as u64);
-        if normalized_lines(&lines.join("\n")) != reference {
-            eprintln!("error: {} Runner::map path diverged", grid.name);
-            std::process::exit(1);
-        }
-    }
-    let map_ms = median_ms(&mut map_samples);
-    println!("  runner_map x{canonical_workers}: {map_ms} ms");
-
     let mut engine_rows = Vec::new();
     for (i, &workers) in sweep.iter().enumerate() {
         let canonical = i == sweep.len() - 1;
@@ -224,16 +197,10 @@ fn bench_grid(grid: &CampaignGrid, smoke: bool) -> Json {
     }
 
     let metrics = metrics_snapshot_json();
-    let depth_p95 = metrics
-        .get("campaign.queue_depth_samples")
-        .and_then(|h| histogram_percentile(h, 0.95))
-        .unwrap_or(0.0);
     Json::obj()
         .field("name", grid.name.as_str())
         .field("jobs", grid.len() as u64)
         .field("seq_ms", seq_ms)
-        .field("runner_map_workers", canonical_workers as u64)
-        .field("runner_map_ms", map_ms)
         .field("engine", Json::Arr(engine_rows))
         .field(
             "baseline_sim_runs",
@@ -255,12 +222,6 @@ fn bench_grid(grid: &CampaignGrid, smoke: bool) -> Json {
             "cache_lock_waits",
             counter(&metrics, "runner.cache_lock_waits"),
         )
-        .field(
-            "backpressure_stalls",
-            counter(&metrics, "campaign.backpressure_stalls"),
-        )
-        .field("steals", counter(&metrics, "campaign.steals"))
-        .field("queue_depth_p95", depth_p95)
 }
 
 /// Resume-only mode: continue the canonical logs in place (used by the

@@ -5,9 +5,8 @@
 //! meaningful at thousands of strikes per structure, and replay-style
 //! detection studies run the same workload grid hundreds of times
 //! over — so the grid loop, not the simulator, is what has to scale.
-//! This module promotes the deterministic parallel [`crate::Runner`]
-//! pattern
-//! into a streaming pipeline:
+//! This module runs such grids on the workspace's one worker pool,
+//! [`crate::Runner::map`], and streams their records to disk:
 //!
 //! * A [`CampaignGrid`] names a full experiment request — scheme ×
 //!   workload source × seed × optional [`StrikePlan`] — and
@@ -16,17 +15,14 @@
 //!   from [`job_seed_named`], so results are a pure function of the
 //!   job alone: bit-identical across worker counts, reruns, and
 //!   resumes.
-//! * [`CampaignEngine::run_streaming`] shards pending jobs round-robin
-//!   across per-worker deques (idle workers steal from the back of a
-//!   victim's deque — `campaign.steals`), and finished records flow in
-//!   small newline-joined chunks through a [`BoundedQueue`] to a
-//!   dedicated writer thread that appends JSONL incrementally. The
-//!   queue exerts backpressure: a full queue blocks the producing
-//!   worker
-//!   (`campaign.backpressure_stalls`) instead of buffering unboundedly
-//!   behind a barrier, and its occupancy is observable as the
-//!   `campaign.queue_depth` gauge / `campaign.queue_depth_samples`
-//!   histogram.
+//! * [`CampaignEngine::run_streaming`] checks the grid's scheme names,
+//!   then hands the pending jobs to `Runner::map` in chunks of a few
+//!   jobs. Each chunk renders its records and appends them to the log
+//!   in one write under a file lock, so records reach disk as they
+//!   complete, lines never interleave, and memory stays bounded by the
+//!   chunks in flight. No thread ever waits on another: a panicking
+//!   job surfaces when the pool joins, and an append error stops the
+//!   remaining chunks and comes back as `Err`.
 //! * Because records hit disk as they complete, a killed run leaves a
 //!   valid prefix. On restart the engine replays the partial log,
 //!   validates the header against the grid, drops torn or meta lines,
@@ -37,18 +33,18 @@
 //! ([`golden_memory_source`]) both for SDC classification *and* —
 //! unlike the sequential reference path — inside the driver via
 //! `run_campaign_lane`, eliminating the per-job golden re-execution
-//! that dominates `Runner::map`-style grids. Records are unaffected: a
-//! trace's golden image is unique.
+//! that dominates the sequential reference path. Records are
+//! unaffected: a trace's golden image is unique.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet};
 use std::fs;
 use std::io::Write;
 use std::path::{Path, PathBuf};
-use std::sync::{Condvar, Mutex};
+use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
 use unsync_core::{UnsyncConfig, UnsyncPair};
-use unsync_exec::{FlexConfig, FlexPair, RedundantDriver, SecdedOnlyCore, TmrTriple};
+use unsync_exec::{FlexConfig, FlexPair, SecdedOnlyCore, TmrTriple};
 use unsync_fault::uncore::{StrikePlan, UncoreTarget};
 use unsync_isa::exec::splitmix64;
 use unsync_isa::TraceProgram;
@@ -59,9 +55,9 @@ use unsync_sim::{metrics, CoreConfig};
 use unsync_workloads::{WorkloadSource, WorkloadSpec};
 
 use crate::experiments::ExperimentConfig;
-use crate::roec_uncore::{classify_strike_result, run_scheme_with_strikes, strike_salt};
+use crate::roec_uncore::{run_strike, strike_salt, StrikeCell, SCHEMES};
 use crate::runlog::{metrics_snapshot_json, prof_block_json, Json};
-use crate::runner::{baseline_cycles_source, golden_memory_source, job_seed_named};
+use crate::runner::{baseline_cycles_source, golden_memory_source, job_seed_named, Runner};
 
 /// A grid of experiment requests: the cartesian product of workloads ×
 /// seeds × schemes, each cell either one comparator run (`strikes:
@@ -97,6 +93,24 @@ impl CampaignGrid {
     /// Whether the grid expands into no jobs at all.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// Checks every scheme name against the vocabulary its job kind
+    /// runs: [`COMPARE_SCHEMES`] for comparator grids,
+    /// [`crate::roec_uncore::SCHEMES`] for strike grids. An unknown name
+    /// would otherwise panic inside a worker, after the log was opened.
+    fn check_schemes(&self) -> Result<(), String> {
+        let known: &[&str] = match self.strikes {
+            None => &COMPARE_SCHEMES,
+            Some(_) => &SCHEMES,
+        };
+        match self.schemes.iter().find(|s| !known.contains(s)) {
+            Some(bad) => Err(format!(
+                "grid {}: unknown scheme {bad:?} (expected one of {known:?})",
+                self.name
+            )),
+            None => Ok(()),
+        }
     }
 
     /// Flattens the grid into jobs in fixed grid order —
@@ -259,8 +273,8 @@ impl CampaignJob {
 /// seed)` — every job of a campaign cell shares one trace, and
 /// generating it is a measurable fraction of a short job, so the
 /// engine builds the memo up front and workers borrow from it. The
-/// reference paths ([`run_collected`], [`run_mapped`]) pass `None` and
-/// regenerate per job, as the pre-engine campaigns did.
+/// reference path ([`run_collected`]) passes `None` and regenerates
+/// per job, as the pre-engine campaigns did.
 type TraceMemo = HashMap<(&'static str, u64), TraceProgram>;
 
 fn trace_memo(grid: &CampaignGrid, jobs: &[CampaignJob]) -> TraceMemo {
@@ -316,9 +330,20 @@ fn run_job_inner(
     framed.render()
 }
 
-/// One fault-free comparator run: `scheme` cycles against the memoized
-/// unprotected baseline. The scheme vocabulary matches the
-/// `comparators` experiment.
+/// The schemes a comparator job runs, in `comparators` table order.
+pub const COMPARE_SCHEMES: [&str; 7] = [
+    "lockstep",
+    "reunion",
+    "checkpoint",
+    "unsync_pair",
+    "tmr_vote",
+    "flex",
+    "secded_only",
+];
+
+/// One fault-free comparator run: `scheme` (one of
+/// [`COMPARE_SCHEMES`]) cycles against the memoized unprotected
+/// baseline.
 fn run_compare_job(job: CampaignJob, t: &TraceProgram) -> Json {
     let source = job.workload.source(job.inst_count, job.seed);
     let base = baseline_cycles_source(&source);
@@ -367,7 +392,7 @@ fn run_compare_job(job: CampaignJob, t: &TraceProgram) -> Json {
 }
 
 /// One strike of the grid's plan: inject, journal, classify — the same
-/// record fields as the `roec_uncore` campaign plus the grid axes.
+/// record fields as the `roec_uncore` campaign behind the grid axes.
 fn run_strike_job(
     grid: &CampaignGrid,
     job: CampaignJob,
@@ -380,190 +405,47 @@ fn run_strike_job(
         .strikes
         .as_ref()
         .expect("strike job implies a strike plan");
-    let strike = plan.strike(target, index, job.stream_seed(), 0);
-    let source = job.workload.source(job.inst_count, job.seed);
-    let golden = golden_memory_source(&source);
+    let golden = golden_memory_source(&job.workload.source(job.inst_count, job.seed));
     let contention = grid
         .contention
         .unwrap_or_else(L2ContentionConfig::many_core);
-    let driver = RedundantDriver::new(CoreConfig::table1()).with_l2_contention(contention);
-    let supplied = reuse_cached_golden.then_some(&*golden);
-    let result = run_scheme_with_strikes(&driver, job.scheme, trace, vec![strike], supplied);
-    let (outcome, memory_matches) = classify_strike_result(&result, &golden);
+    let cell = StrikeCell {
+        target,
+        scheme: job.scheme,
+        strike: index,
+    };
+    let r = run_strike(
+        plan,
+        cell,
+        job.stream_seed(),
+        trace,
+        contention,
+        &golden,
+        reuse_cached_golden,
+    );
     Json::obj()
         .field("workload", job.workload.name())
         .field("inst_count", job.inst_count)
         .field("seed", job.seed)
         .field("scheme", job.scheme)
         .field("job", "strike")
-        .field("structure", target.label())
-        .field("strike", index)
-        .field("cycle", strike.cycle)
-        .field("bit_offset", strike.site.bit_offset)
-        .field(
-            "fault_kind",
-            match strike.kind {
-                unsync_fault::FaultKind::Single => "single",
-                unsync_fault::FaultKind::AdjacentDouble => "double",
-            },
-        )
-        .field("directed", u64::from(strike.directed))
-        .field("outcome", outcome.label())
-        .field("detections", result.out.detections)
-        .field("recoveries", result.out.recoveries)
-        .field("memory_matches", u64::from(memory_matches))
+        .field("structure", r.structure)
+        .field("strike", r.strike)
+        .field("cycle", r.cycle)
+        .field("bit_offset", r.bit_offset)
+        .field("fault_kind", r.kind)
+        .field("directed", u64::from(r.directed))
+        .field("outcome", r.outcome.label())
+        .field("detections", r.detections)
+        .field("recoveries", r.recoveries)
+        .field("memory_matches", u64::from(r.memory_matches))
 }
 
-/// A bounded MPSC channel built on `Mutex` + `Condvar` (no external
-/// crates): producers block while the queue is full — that stall is
-/// the backpressure, counted as `campaign.backpressure_stalls` — and
-/// the consumer blocks while it is empty. [`BoundedQueue::pop`]
-/// returns `None` once the queue is closed *and* drained.
-pub struct BoundedQueue<T> {
-    state: Mutex<QueueState<T>>,
-    not_full: Condvar,
-    not_empty: Condvar,
-    capacity: usize,
-    // Handles resolved once at construction: updates are lock-free
-    // atomics, never registry lookups on the hot path.
-    stalls: metrics::Counter,
-    depth: metrics::Gauge,
-    depth_samples: metrics::Histogram,
-    // `prof.campaign.queue_wait` — wall-clock µs producers spent
-    // blocked on a full queue (host domain, one observation per stall
-    // episode).
-    queue_wait: metrics::Histogram,
-}
-
-struct QueueState<T> {
-    items: VecDeque<T>,
-    closed: bool,
-}
-
-impl<T> BoundedQueue<T> {
-    /// An open queue holding at most `capacity` items.
-    pub fn new(capacity: usize) -> BoundedQueue<T> {
-        assert!(capacity > 0, "queue capacity must be positive");
-        let m = metrics::global();
-        BoundedQueue {
-            state: Mutex::new(QueueState {
-                items: VecDeque::with_capacity(capacity),
-                closed: false,
-            }),
-            not_full: Condvar::new(),
-            not_empty: Condvar::new(),
-            capacity,
-            stalls: m.counter("campaign.backpressure_stalls"),
-            depth: m.gauge("campaign.queue_depth"),
-            depth_samples: m.histogram("campaign.queue_depth_samples", QUEUE_DEPTH_BOUNDS),
-            queue_wait: metrics::prof_histogram("campaign.queue_wait"),
-        }
-    }
-
-    /// Enqueues `item`, blocking while the queue is full. Each stall
-    /// episode increments `campaign.backpressure_stalls`; every push
-    /// samples the post-push depth into the `campaign.queue_depth`
-    /// gauge and `campaign.queue_depth_samples` histogram.
-    pub fn push(&self, item: T) {
-        let mut state = self.state.lock().expect("campaign queue poisoned");
-        if state.items.len() >= self.capacity {
-            self.stalls.inc();
-            let stalled = Instant::now();
-            while state.items.len() >= self.capacity {
-                state = self.not_full.wait(state).expect("campaign queue poisoned");
-            }
-            self.queue_wait
-                .observe(stalled.elapsed().as_secs_f64() * 1e6);
-        }
-        let was_empty = state.items.is_empty();
-        state.items.push_back(item);
-        let depth = state.items.len() as f64;
-        self.depth.set(depth);
-        self.depth_samples.observe(depth);
-        drop(state);
-        // The consumer only ever waits on an empty queue, so a push
-        // onto a non-empty one has nobody to wake — skipping the
-        // notify keeps producers from pointlessly preempting the
-        // writer on small machines.
-        if was_empty {
-            self.not_empty.notify_one();
-        }
-    }
-
-    /// Dequeues the oldest item, blocking while the queue is open but
-    /// empty; `None` once closed and drained.
-    pub fn pop(&self) -> Option<T> {
-        let mut state = self.state.lock().expect("campaign queue poisoned");
-        loop {
-            if let Some(item) = state.items.pop_front() {
-                let was_full = state.items.len() + 1 >= self.capacity;
-                self.depth.set(state.items.len() as f64);
-                drop(state);
-                // Producers only wait while the queue is full.
-                if was_full {
-                    self.not_full.notify_one();
-                }
-                return Some(item);
-            }
-            if state.closed {
-                return None;
-            }
-            state = self.not_empty.wait(state).expect("campaign queue poisoned");
-        }
-    }
-
-    /// Moves up to `max` items into `out` in one lock acquisition,
-    /// blocking while the queue is open but empty. Returns `false`
-    /// once closed and drained. The writer thread consumes through
-    /// this so one wakeup amortizes one file flush over a whole batch.
-    pub fn drain_into(&self, out: &mut Vec<T>, max: usize) -> bool {
-        let mut state = self.state.lock().expect("campaign queue poisoned");
-        loop {
-            if !state.items.is_empty() {
-                let was_full = state.items.len() >= self.capacity;
-                while out.len() < max {
-                    let Some(item) = state.items.pop_front() else {
-                        break;
-                    };
-                    out.push(item);
-                }
-                self.depth.set(state.items.len() as f64);
-                drop(state);
-                if was_full {
-                    self.not_full.notify_all();
-                }
-                return true;
-            }
-            if state.closed {
-                return false;
-            }
-            state = self.not_empty.wait(state).expect("campaign queue poisoned");
-        }
-    }
-
-    /// Closes the queue: producers must be done; the consumer drains
-    /// what remains and then sees `None`.
-    pub fn close(&self) {
-        self.state.lock().expect("campaign queue poisoned").closed = true;
-        self.not_empty.notify_all();
-        self.not_full.notify_all();
-    }
-}
-
-/// Histogram bounds for queue-depth samples (powers of two up to the
-/// default capacity).
-const QUEUE_DEPTH_BOUNDS: &[f64] = &[1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0];
-
-/// Records the writer consumes — and amortizes one flush over — per
-/// queue wakeup.
-const WRITER_BATCH: usize = 32;
-
-/// Records a worker accumulates into one newline-joined chunk before
-/// pushing it through the queue. Chunking amortizes the queue lock and
-/// the consumer wakeup — on a single-CPU host each wakeup is a forced
-/// context switch out of the producing worker — without giving up
-/// bounded streaming: at most `queue_capacity × PRODUCER_BATCH`
-/// records are ever in flight.
+/// Jobs one claim of the worker pool runs before appending their
+/// records. A chunk's records reach the log in a single `write_all`
+/// under the file lock, so lines from two workers never interleave,
+/// and at most `workers × PRODUCER_BATCH` rendered records are ever
+/// held in memory.
 const PRODUCER_BATCH: usize = 8;
 
 /// What one [`CampaignEngine::run_streaming`] call did.
@@ -580,7 +462,7 @@ pub struct CampaignReport {
     /// Jobs skipped because a resumed log already held their records.
     pub jobs_skipped: usize,
     /// Wall-clock milliseconds of the streaming run (expansion through
-    /// writer join, excluding the meta stamp).
+    /// the last record append, excluding the meta stamp).
     pub wall_ms: u64,
 }
 
@@ -594,35 +476,32 @@ impl CampaignReport {
     }
 }
 
-/// The streaming campaign engine: worker count and writer-queue bound.
+/// The streaming campaign engine: a worker count for [`Runner::map`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CampaignEngine {
     /// Worker threads executing jobs.
     pub workers: usize,
-    /// Bounded writer-queue capacity, in chunks of up to
-    /// `PRODUCER_BATCH` records each.
-    pub queue_capacity: usize,
 }
 
 impl CampaignEngine {
-    /// An engine with `workers` threads and the default 64-record
-    /// writer queue.
+    /// An engine with `workers` threads (at least one).
     pub fn new(workers: usize) -> CampaignEngine {
         CampaignEngine {
             workers: workers.max(1),
-            queue_capacity: 64,
         }
     }
 
     /// Runs `grid`, streaming records to `path` as JSONL, resuming
     /// from a partial log at the same path if one exists. Returns the
-    /// report; errors are I/O or header-mismatch strings.
+    /// report; errors are an unknown scheme (checked before the log is
+    /// touched), I/O, or header-mismatch strings.
     pub fn run_streaming(
         &self,
         grid: &CampaignGrid,
         path: &Path,
     ) -> Result<CampaignReport, String> {
         let started = Instant::now();
+        grid.check_schemes()?;
         let jobs = grid.expand();
         let header = grid.header_line();
         let completed = replay_partial_log(path, &header)?;
@@ -634,110 +513,38 @@ impl CampaignEngine {
         let jobs_skipped = jobs.len() - pending.len();
         let memo = trace_memo(grid, &pending);
 
-        // Round-robin shard pending jobs across per-worker deques.
-        let deques: Vec<Mutex<VecDeque<CampaignJob>>> = (0..self.workers)
-            .map(|w| {
-                Mutex::new(
-                    pending
-                        .iter()
-                        .skip(w)
-                        .step_by(self.workers)
-                        .copied()
-                        .collect(),
-                )
-            })
-            .collect();
-
-        let queue: BoundedQueue<String> = BoundedQueue::new(self.queue_capacity);
-        let mut file = fs::OpenOptions::new()
-            .append(true)
-            .open(path)
-            .map_err(|e| format!("open {}: {e}", path.display()))?;
-        let write_error: Mutex<Option<String>> = Mutex::new(None);
-
+        let file = Mutex::new(
+            fs::OpenOptions::new()
+                .append(true)
+                .open(path)
+                .map_err(|e| format!("open {}: {e}", path.display()))?,
+        );
+        let write_error: OnceLock<String> = OnceLock::new();
+        // Handle resolved once per run, observed per appended chunk
+        // (the cached-handle rule for hot phases).
+        let flush_prof = prof::handle("campaign.writer_flush");
         metrics::global()
             .gauge("campaign.workers")
             .set(self.workers as f64);
-        std::thread::scope(|outer| {
-            let writer = outer.spawn(|| {
-                // Handle resolved once per run, observed per flushed
-                // batch (the cached-handle rule for hot phases).
-                let flush_prof = prof::handle("campaign.writer_flush");
-                let mut batch: Vec<String> = Vec::with_capacity(WRITER_BATCH);
-                while queue.drain_into(&mut batch, WRITER_BATCH) {
-                    let mut text = String::with_capacity(batch.iter().map(|l| l.len() + 1).sum());
-                    for line in batch.drain(..) {
-                        text.push_str(&line);
-                        text.push('\n');
-                    }
-                    let flush_started = Instant::now();
-                    let io = file.write_all(text.as_bytes()).and_then(|()| file.flush());
-                    flush_prof.observe(flush_started.elapsed().as_secs_f64() * 1e6);
-                    if let Err(e) = io {
-                        *write_error.lock().expect("write error slot poisoned") =
-                            Some(format!("append {}: {e}", path.display()));
-                        break;
-                    }
-                }
-            });
-            std::thread::scope(|inner| {
-                for w in 0..self.workers {
-                    let deques = &deques;
-                    let queue = &queue;
-                    let memo = &memo;
-                    inner.spawn(move || {
-                        let m = metrics::global();
-                        let mut chunk = String::new();
-                        let mut chunk_len = 0usize;
-                        loop {
-                            // Own deque first (front), then steal from
-                            // the back of the first non-empty victim.
-                            let mut job = deques[w]
-                                .lock()
-                                .expect("campaign deque poisoned")
-                                .pop_front();
-                            if job.is_none() {
-                                let _t = prof::scope("campaign.steal");
-                                for (v, victim) in deques.iter().enumerate() {
-                                    if v == w {
-                                        continue;
-                                    }
-                                    let stolen =
-                                        victim.lock().expect("campaign deque poisoned").pop_back();
-                                    if stolen.is_some() {
-                                        m.counter("campaign.steals").inc();
-                                        job = stolen;
-                                        break;
-                                    }
-                                }
-                            }
-                            let Some(job) = job else {
-                                if !chunk.is_empty() {
-                                    queue.push(std::mem::take(&mut chunk));
-                                }
-                                break;
-                            };
-                            if !chunk.is_empty() {
-                                chunk.push('\n');
-                            }
-                            chunk.push_str(&run_job_inner(grid, job, true, Some(memo)));
-                            chunk_len += 1;
-                            if chunk_len >= PRODUCER_BATCH {
-                                queue.push(std::mem::take(&mut chunk));
-                                chunk_len = 0;
-                            }
-                        }
-                    });
-                }
-            });
-            queue.close();
-            writer.join().expect("campaign writer panicked");
+        let chunks: Vec<&[CampaignJob]> = pending.chunks(PRODUCER_BATCH).collect();
+        Runner::new(self.workers).map(&chunks, |chunk| {
+            if write_error.get().is_some() {
+                return; // the log is already broken: stop spending work
+            }
+            let mut text = String::new();
+            for &job in *chunk {
+                text.push_str(&run_job_inner(grid, job, true, Some(&memo)));
+                text.push('\n');
+            }
+            let mut file = file.lock().expect("campaign log lock poisoned");
+            let flush_started = Instant::now();
+            let io = file.write_all(text.as_bytes());
+            flush_prof.observe(flush_started.elapsed().as_secs_f64() * 1e6);
+            if let Err(e) = io {
+                let _ = write_error.set(format!("append {}: {e}", path.display()));
+            }
         });
-        if let Some(e) = write_error
-            .lock()
-            .expect("write error slot poisoned")
-            .take()
-        {
+        if let Some(e) = write_error.into_inner() {
             return Err(e);
         }
 
@@ -824,9 +631,9 @@ fn replay_partial_log(path: &Path, header: &str) -> Result<HashSet<u64>, String>
 }
 
 /// The sequential reference path: runs the whole grid in grid order on
-/// the caller's thread — no sharded deques, no streaming, and no
+/// the caller's thread — no worker pool, no streaming, and no
 /// cached-golden reuse inside the driver (each strike job re-executes
-/// the golden run, as the pre-engine `Runner::map` campaigns did) —
+/// the golden run, as the pre-engine campaigns did) —
 /// and returns the rendered record lines. `BENCH_campaign.json`
 /// baselines the engine against this.
 pub fn run_collected(grid: &CampaignGrid) -> Vec<String> {
@@ -834,21 +641,6 @@ pub fn run_collected(grid: &CampaignGrid) -> Vec<String> {
     for job in grid.expand() {
         lines.push(run_job(grid, job, false));
     }
-    lines
-}
-
-/// The pre-engine parallel path: the same grid through
-/// [`crate::Runner::map`]'s barrier-collected worker pool at the
-/// engine's
-/// worker count, with the pre-engine per-job cost model (trace
-/// regenerated and golden re-executed inside the driver for every
-/// job). This is what the roec-style campaigns paid before the
-/// streaming engine; `BENCH_campaign.json` reports it beside the
-/// engine at the same worker count.
-pub fn run_mapped(grid: &CampaignGrid, runner: &crate::runner::Runner) -> Vec<String> {
-    let jobs = grid.expand();
-    let mut lines = vec![grid.header_line()];
-    lines.extend(runner.map(&jobs, |job| run_job(grid, *job, false)));
     lines
 }
 
@@ -942,32 +734,6 @@ mod tests {
                 "duplicate stream seed for {job:?}"
             );
         }
-    }
-
-    #[test]
-    fn bounded_queue_delivers_in_order_and_closes() {
-        let q: BoundedQueue<u64> = BoundedQueue::new(2);
-        q.push(1);
-        q.push(2);
-        assert_eq!(q.pop(), Some(1));
-        q.push(3);
-        q.close();
-        assert_eq!(q.pop(), Some(2));
-        assert_eq!(q.pop(), Some(3));
-        assert_eq!(q.pop(), None);
-        assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn bounded_queue_backpressure_blocks_until_pop() {
-        let q: BoundedQueue<u64> = BoundedQueue::new(1);
-        q.push(1);
-        std::thread::scope(|s| {
-            s.spawn(|| q.push(2)); // must block until the pop below
-            std::thread::sleep(std::time::Duration::from_millis(10));
-            assert_eq!(q.pop(), Some(1));
-            assert_eq!(q.pop(), Some(2));
-        });
     }
 
     #[test]

@@ -6,9 +6,10 @@
 //! corresponding artifact; [`experiments`] holds the reusable experiment
 //! drivers and [`render`] the text output.
 //!
-//! Experiments that sweep independent simulations parallelize across
-//! configurations through the [`runner`] module's fixed worker pool
-//! (`std::thread::scope`, no external crates); each simulation is
+//! Experiments and fault campaigns that sweep independent simulations
+//! parallelize across configurations through the [`runner`] module's
+//! fixed worker pool (`std::thread::scope`, no external crates) — the
+//! crate's only thread pool; each simulation is
 //! itself single-threaded and deterministic and every job draws
 //! randomness only from its own seed-derived stream, so results are
 //! bit-identical at any worker count. Binaries additionally emit
@@ -31,8 +32,8 @@ pub mod stats;
 pub mod timeline;
 
 pub use campaign::{
-    normalized_lines, run_collected, run_mapped, BoundedQueue, CampaignEngine, CampaignGrid,
-    CampaignJob, CampaignReport, JobKind,
+    normalized_lines, run_collected, CampaignEngine, CampaignGrid, CampaignJob, CampaignReport,
+    JobKind,
 };
 pub use experiments::{
     fig4, fig5, fig6, roec, scheme_values, ser_sweep, ExperimentConfig, Fig4Row, Fig5Cell, Fig6Row,

@@ -143,12 +143,13 @@ pub struct StrikeRecord {
     pub memory_matches: bool,
 }
 
-/// One job of the campaign grid.
+/// One strike job: the (structure, scheme, strike index) cell of a
+/// strike grid.
 #[derive(Debug, Clone, Copy)]
-struct Job {
-    target: UncoreTarget,
-    scheme: &'static str,
-    strike: u64,
+pub(crate) struct StrikeCell {
+    pub(crate) target: UncoreTarget,
+    pub(crate) scheme: &'static str,
+    pub(crate) strike: u64,
 }
 
 /// The per-job salt of a strike cell: a SplitMix64 chain over the
@@ -210,26 +211,34 @@ pub fn classify_strike_result(result: &RunResult, golden: &ArchMemory) -> (Strik
     (classify(&events, memory_matches), memory_matches)
 }
 
-/// Runs one strike job: one simulation, one strike, one label.
-fn run_job(cfg: &RoecUncoreConfig, job: Job, golden: &ArchMemory) -> StrikeRecord {
-    let seed = job_seed(
-        cfg.experiment(),
-        cfg.benchmark,
-        strike_salt(job.target, job.scheme, job.strike),
-    );
+/// Runs one strike job: plans the strike from the job's private
+/// `stream_seed`, runs `trace` under the cell's scheme on a driver with
+/// `contention`, and classifies the result against `golden`.
+/// `supply_golden` also hands `golden` to the driver so it skips its
+/// own golden re-execution (the record is identical either way). Both
+/// this module's grid and the campaign engine's strike jobs run here.
+pub(crate) fn run_strike(
+    plan: &StrikePlan,
+    cell: StrikeCell,
+    stream_seed: u64,
+    trace: &TraceProgram,
+    contention: L2ContentionConfig,
+    golden: &ArchMemory,
+    supply_golden: bool,
+) -> StrikeRecord {
     // Odd strike indices run importance-sampled (conditioned on hitting
     // live state) so low-occupancy structures still measure coverage;
     // even indices sample the array uniformly and measure the AVF-style
     // live fraction — [`StrikePlan::strike`] encodes the alternation.
-    let strike = cfg.strike_plan().strike(job.target, job.strike, seed, 0);
-    let trace = SyntheticSource::new(cfg.benchmark, cfg.inst_count, cfg.seed).trace();
-    let driver = RedundantDriver::new(CoreConfig::table1()).with_l2_contention(cfg.contention);
-    let result = run_scheme_with_strikes(&driver, job.scheme, &trace, vec![strike], Some(golden));
+    let strike = plan.strike(cell.target, cell.strike, stream_seed, 0);
+    let driver = RedundantDriver::new(CoreConfig::table1()).with_l2_contention(contention);
+    let supplied = supply_golden.then_some(golden);
+    let result = run_scheme_with_strikes(&driver, cell.scheme, trace, vec![strike], supplied);
     let (outcome, memory_matches) = classify_strike_result(&result, golden);
     StrikeRecord {
-        structure: job.target.label(),
-        scheme: job.scheme,
-        strike: job.strike,
+        structure: cell.target.label(),
+        scheme: cell.scheme,
+        strike: cell.strike,
         cycle: strike.cycle,
         bit_offset: strike.site.bit_offset,
         kind: match strike.kind {
@@ -251,12 +260,12 @@ pub fn run_campaign(cfg: &RoecUncoreConfig, runner: &Runner) -> Vec<StrikeRecord
     let golden: Arc<ArchMemory> = golden_memory(cfg.benchmark, cfg.experiment());
     let plan = cfg.strike_plan();
     let strikes_per_cell = plan.strikes_per_cell;
-    let jobs: Vec<Job> = plan
+    let jobs: Vec<StrikeCell> = plan
         .targets
         .iter()
         .flat_map(|&target| {
             SCHEMES.iter().flat_map(move |&scheme| {
-                (0..strikes_per_cell).map(move |strike| Job {
+                (0..strikes_per_cell).map(move |strike| StrikeCell {
                     target,
                     scheme,
                     strike,
@@ -264,7 +273,15 @@ pub fn run_campaign(cfg: &RoecUncoreConfig, runner: &Runner) -> Vec<StrikeRecord
             })
         })
         .collect();
-    runner.map(&jobs, |job| run_job(cfg, *job, &golden))
+    runner.map(&jobs, |&cell| {
+        let seed = job_seed(
+            cfg.experiment(),
+            cfg.benchmark,
+            strike_salt(cell.target, cell.scheme, cell.strike),
+        );
+        let trace = SyntheticSource::new(cfg.benchmark, cfg.inst_count, cfg.seed).trace();
+        run_strike(&plan, cell, seed, &trace, cfg.contention, &golden, true)
+    })
 }
 
 /// Aggregates classified strikes into the per-structure table.

@@ -1,11 +1,14 @@
 //! Determinism regression for the streaming campaign engine: the same
 //! [`CampaignGrid`] must produce byte-identical normalized JSONL at
 //! any worker count, and a run killed mid-grid must resume to the same
-//! bytes an uninterrupted run produces. Alongside, a property test
-//! that the job → SplitMix64 stream mapping never hands two jobs of a
-//! grid the same stream.
+//! bytes an uninterrupted run produces. A grid naming an unknown
+//! scheme must come back as an `Err` in bounded time, without touching
+//! the log. Alongside, a property test that the job → SplitMix64
+//! stream mapping never hands two jobs of a grid the same stream.
 
 use std::path::PathBuf;
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::time::Duration;
 
 use proptest::prelude::*;
 use unsync_bench::campaign::run_collected;
@@ -107,6 +110,62 @@ fn campaign_resumes_killed_run_to_identical_bytes() {
         reference,
         "resumed log diverged from the uninterrupted run"
     );
+}
+
+#[test]
+fn unknown_scheme_is_rejected_before_the_log_is_touched() {
+    let strike = CampaignGrid {
+        schemes: vec!["unsync_pair", "no_such_scheme"],
+        ..strike_grid()
+    };
+    // Comparator grids check against their own vocabulary.
+    let compare = CampaignGrid {
+        strikes: None,
+        contention: None,
+        ..strike.clone()
+    };
+    for (kind, grid) in [("strike", strike), ("compare", compare)] {
+        for workers in [1, 2] {
+            let path = scratch(&format!("unknown_scheme_{kind}_{workers}"));
+            // A partial log of this very grid, so a resume would
+            // accept its header and rewrite it without the torn tail.
+            let existing = format!("{}\n{{\"kind\":\"rec", grid.header_line());
+            std::fs::write(&path, &existing).expect("write pre-existing log");
+
+            // Run on a helper thread so a regression to the old hang
+            // fails the test instead of stalling the suite; the thread
+            // is joined only once it has answered.
+            let (tx, rx) = mpsc::channel();
+            let (run_grid, run_path) = (grid.clone(), path.clone());
+            let helper = std::thread::spawn(move || {
+                let result = CampaignEngine::new(workers).run_streaming(&run_grid, &run_path);
+                let _ = tx.send(result.map(|report| report.jobs_run));
+            });
+            let result = match rx.recv_timeout(Duration::from_secs(30)) {
+                Ok(result) => {
+                    helper.join().expect("helper thread exits after sending");
+                    result
+                }
+                Err(RecvTimeoutError::Timeout) => {
+                    panic!("{kind} grid at {workers} workers did not return within 30 s")
+                }
+                Err(RecvTimeoutError::Disconnected) => {
+                    panic!("{kind} grid at {workers} workers panicked instead of returning Err")
+                }
+            };
+            let err = result.expect_err("an unknown scheme must be an Err");
+            assert!(
+                err.contains("no_such_scheme"),
+                "error must name the scheme: {err}"
+            );
+            let after = std::fs::read_to_string(&path).expect("read log");
+            let _ = std::fs::remove_file(&path);
+            assert_eq!(
+                after, existing,
+                "a rejected grid must leave the log untouched"
+            );
+        }
+    }
 }
 
 proptest! {
