@@ -20,13 +20,12 @@
 //! count), and `UNSYNC_RESULTS_DIR`.
 
 use std::path::PathBuf;
+use std::time::{Duration, Instant};
 
-use unsync_bench::campaign::{
-    normalized_lines, run_collected, CampaignEngine, CampaignGrid, COMPARE_SCHEMES,
-};
+use unsync_bench::campaign::{normalized_lines, run_collected, CampaignEngine, CampaignGrid};
 use unsync_bench::roec_uncore::SCHEMES;
 use unsync_bench::runlog::{self, metrics_snapshot_json, Json};
-use unsync_bench::Runner;
+use unsync_bench::{Runner, Scheme};
 use unsync_fault::uncore::StrikePlan;
 use unsync_mem::L2ContentionConfig;
 use unsync_workloads::WorkloadSpec;
@@ -100,21 +99,31 @@ fn compare_grid(seed: u64, smoke: bool) -> CampaignGrid {
             inst_count: 400,
             seeds: vec![seed, seed + 1],
             workloads: vec![workload("gzip"), workload("kernel:qsort")],
-            schemes: COMPARE_SCHEMES.to_vec(),
+            schemes: Scheme::ALL.map(Scheme::label).to_vec(),
             strikes: None,
             contention: None,
         }
     }
 }
 
+/// The memo-cache counters each grid row reports, as (summary field,
+/// metrics counter).
+const CACHE_COUNTERS: [(&str, &str); 4] = [
+    ("baseline_sim_runs", "runner.baseline_sim_runs"),
+    ("baseline_cache_hits", "runner.baseline_cache_hits"),
+    ("golden_sim_runs", "runner.golden_sim_runs"),
+    ("golden_cache_hits", "runner.golden_cache_hits"),
+];
+
 /// Reads one counter out of a rendered metrics snapshot.
 fn counter(metrics: &Json, name: &str) -> u64 {
     metrics.get(name).and_then(Json::as_u64).unwrap_or(0)
 }
 
-fn median_ms(samples: &mut [u64]) -> u64 {
+/// The median sample, in milliseconds.
+fn median_ms(samples: &mut [Duration]) -> f64 {
     samples.sort_unstable();
-    samples[samples.len() / 2]
+    samples[samples.len() / 2].as_secs_f64() * 1e3
 }
 
 fn repeats(smoke: bool) -> usize {
@@ -126,8 +135,9 @@ fn repeats(smoke: bool) -> usize {
 /// Benchmarks one grid: sequential reference, then the engine at each
 /// sweep worker count (canonical run last, into `<name>.jsonl`),
 /// asserting every normalized output equals the reference. Returns the
-/// grid's summary row.
+/// grid's summary row, whose cache counts are this grid's own.
 fn bench_grid(grid: &CampaignGrid, smoke: bool) -> Json {
+    let counters_before = metrics_snapshot_json();
     let dir = runlog::results_dir();
     let reps = repeats(smoke);
     println!(
@@ -142,12 +152,12 @@ fn bench_grid(grid: &CampaignGrid, smoke: bool) -> Json {
     let mut seq_samples = Vec::new();
     let mut reference = Vec::new();
     for _ in 0..reps {
-        let started = std::time::Instant::now();
+        let started = Instant::now();
         reference = normalized_lines(&run_collected(grid).join("\n"));
-        seq_samples.push(started.elapsed().as_millis() as u64);
+        seq_samples.push(started.elapsed());
     }
     let seq_ms = median_ms(&mut seq_samples);
-    println!("  sequential loop: {seq_ms} ms");
+    println!("  sequential loop: {seq_ms:.2} ms");
 
     let sweep = worker_sweep();
     let mut engine_rows = Vec::new();
@@ -177,12 +187,12 @@ fn bench_grid(grid: &CampaignGrid, smoke: bool) -> Json {
                 );
                 std::process::exit(1);
             }
-            samples.push(report.wall_ms);
+            samples.push(report.wall);
             jobs_per_sec = jobs_per_sec.max(report.jobs_per_sec());
         }
         let ms = median_ms(&mut samples);
         println!(
-            "  engine x{workers}: {ms} ms (best {jobs_per_sec:.1} jobs/sec){}",
+            "  engine x{workers}: {ms:.2} ms (best {jobs_per_sec:.1} jobs/sec){}",
             if canonical { "  [canonical]" } else { "" }
         );
         engine_rows.push(
@@ -196,32 +206,19 @@ fn bench_grid(grid: &CampaignGrid, smoke: bool) -> Json {
         }
     }
 
-    let metrics = metrics_snapshot_json();
-    Json::obj()
+    let counters_after = metrics_snapshot_json();
+    let mut row = Json::obj()
         .field("name", grid.name.as_str())
         .field("jobs", grid.len() as u64)
         .field("seq_ms", seq_ms)
-        .field("engine", Json::Arr(engine_rows))
-        .field(
-            "baseline_sim_runs",
-            counter(&metrics, "runner.baseline_sim_runs"),
-        )
-        .field(
-            "baseline_cache_hits",
-            counter(&metrics, "runner.baseline_cache_hits"),
-        )
-        .field(
-            "golden_sim_runs",
-            counter(&metrics, "runner.golden_sim_runs"),
-        )
-        .field(
-            "golden_cache_hits",
-            counter(&metrics, "runner.golden_cache_hits"),
-        )
-        .field(
-            "cache_lock_waits",
-            counter(&metrics, "runner.cache_lock_waits"),
-        )
+        .field("engine", Json::Arr(engine_rows));
+    for (field, name) in CACHE_COUNTERS {
+        row = row.field(
+            field,
+            counter(&counters_after, name) - counter(&counters_before, name),
+        );
+    }
+    row
 }
 
 /// Resume-only mode: continue the canonical logs in place (used by the

@@ -41,23 +41,21 @@ use std::fs;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, OnceLock};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
-use unsync_core::{UnsyncConfig, UnsyncPair};
-use unsync_exec::{FlexConfig, FlexPair, SecdedOnlyCore, TmrTriple};
 use unsync_fault::uncore::{StrikePlan, UncoreTarget};
 use unsync_isa::exec::splitmix64;
 use unsync_isa::TraceProgram;
-use unsync_mem::{L2ContentionConfig, WritePolicy};
+use unsync_mem::L2ContentionConfig;
 use unsync_obs::prof;
-use unsync_reunion::{CheckpointConfig, CheckpointHooks, LockstepPair, ReunionConfig, ReunionPair};
-use unsync_sim::{metrics, CoreConfig};
+use unsync_sim::metrics;
 use unsync_workloads::{WorkloadSource, WorkloadSpec};
 
 use crate::experiments::ExperimentConfig;
 use crate::roec_uncore::{run_strike, strike_salt, StrikeCell, SCHEMES};
 use crate::runlog::{metrics_snapshot_json, prof_block_json, Json};
 use crate::runner::{baseline_cycles_source, golden_memory_source, job_seed_named, Runner};
+use crate::scheme::Scheme;
 
 /// A grid of experiment requests: the cartesian product of workloads ×
 /// seeds × schemes, each cell either one comparator run (`strikes:
@@ -72,8 +70,8 @@ pub struct CampaignGrid {
     pub seeds: Vec<u64>,
     /// Workload sources swept (synthetic or `kernel:` backends).
     pub workloads: Vec<WorkloadSpec>,
-    /// Scheme names swept (see `run_compare_job` /
-    /// [`crate::roec_uncore::SCHEMES`] for the two vocabularies).
+    /// Scheme labels swept (see [`Scheme::label`]; strike grids take
+    /// only [`crate::roec_uncore::SCHEMES`]).
     pub schemes: Vec<&'static str>,
     /// When set, every (workload, seed, scheme) cell expands into one
     /// job per strike of the plan instead of one comparator job.
@@ -95,22 +93,30 @@ impl CampaignGrid {
         self.len() == 0
     }
 
-    /// Checks every scheme name against the vocabulary its job kind
-    /// runs: [`COMPARE_SCHEMES`] for comparator grids,
-    /// [`crate::roec_uncore::SCHEMES`] for strike grids. An unknown name
-    /// would otherwise panic inside a worker, after the log was opened.
+    /// Checks that every scheme name parses and, in a strike grid,
+    /// takes uncore strikes. A bad name would otherwise panic inside a
+    /// worker, after the log was opened.
     fn check_schemes(&self) -> Result<(), String> {
-        let known: &[&str] = match self.strikes {
-            None => &COMPARE_SCHEMES,
-            Some(_) => &SCHEMES,
-        };
-        match self.schemes.iter().find(|s| !known.contains(s)) {
-            Some(bad) => Err(format!(
-                "grid {}: unknown scheme {bad:?} (expected one of {known:?})",
-                self.name
-            )),
-            None => Ok(()),
+        for &name in &self.schemes {
+            match Scheme::parse(name) {
+                None => {
+                    let known = Scheme::ALL.map(Scheme::label);
+                    return Err(format!(
+                        "grid {}: unknown scheme {name:?} (expected one of {known:?})",
+                        self.name
+                    ));
+                }
+                Some(s) if self.strikes.is_some() && !s.takes_uncore_strikes() => {
+                    return Err(format!(
+                        "grid {}: scheme {name:?} takes no uncore strikes \
+                         (strike grids run one of {SCHEMES:?})",
+                        self.name
+                    ));
+                }
+                Some(_) => {}
+            }
         }
+        Ok(())
     }
 
     /// Flattens the grid into jobs in fixed grid order —
@@ -312,14 +318,21 @@ fn run_job_inner(
             &generated
         }
     };
+    let scheme = Scheme::parse(job.scheme)
+        .unwrap_or_else(|| panic!("unknown scheme {:?} in job {}", job.scheme, job.id));
     let fields = match job.kind {
         JobKind::Compare => {
             let _t = prof::scope("campaign.dispatch.compare");
-            run_compare_job(job, trace)
+            run_compare_job(job, scheme, trace)
         }
         JobKind::Strike { target, index } => {
             let _t = prof::scope("campaign.dispatch.strike");
-            run_strike_job(grid, job, trace, target, index, reuse_cached_golden)
+            let cell = StrikeCell {
+                target,
+                scheme,
+                strike: index,
+            };
+            run_strike_job(grid, job, trace, cell, reuse_cached_golden)
         }
     };
     let mut framed = Json::obj().field("kind", "record").field("row", job.id);
@@ -330,56 +343,12 @@ fn run_job_inner(
     framed.render()
 }
 
-/// The schemes a comparator job runs, in `comparators` table order.
-pub const COMPARE_SCHEMES: [&str; 7] = [
-    "lockstep",
-    "reunion",
-    "checkpoint",
-    "unsync_pair",
-    "tmr_vote",
-    "flex",
-    "secded_only",
-];
-
-/// One fault-free comparator run: `scheme` (one of
-/// [`COMPARE_SCHEMES`]) cycles against the memoized unprotected
-/// baseline.
-fn run_compare_job(job: CampaignJob, t: &TraceProgram) -> Json {
+/// One fault-free comparator run: `scheme` cycles against the memoized
+/// unprotected baseline.
+fn run_compare_job(job: CampaignJob, scheme: Scheme, t: &TraceProgram) -> Json {
     let source = job.workload.source(job.inst_count, job.seed);
     let base = baseline_cycles_source(&source);
-    let cycles = match job.scheme {
-        "lockstep" => LockstepPair::new(CoreConfig::table1()).run(t).cycles,
-        "reunion" => {
-            ReunionPair::new(CoreConfig::table1(), ReunionConfig::paper_baseline())
-                .run(t, &[])
-                .cycles
-        }
-        "checkpoint" => {
-            let mut s = t.clone();
-            let mut hooks = CheckpointHooks::new(CheckpointConfig::default());
-            unsync_sim::run_stream(
-                CoreConfig::table1(),
-                &mut s,
-                &mut hooks,
-                WritePolicy::WriteThrough,
-            )
-            .core
-            .last_commit_cycle
-        }
-        "unsync_pair" => {
-            UnsyncPair::new(CoreConfig::table1(), UnsyncConfig::paper_baseline())
-                .run(t, &[])
-                .cycles
-        }
-        "tmr_vote" => TmrTriple::new(CoreConfig::table1()).run(t, &[]).cycles,
-        "flex" => {
-            FlexPair::new(CoreConfig::table1(), FlexConfig::paper_baseline())
-                .run(t, &[])
-                .cycles
-        }
-        "secded_only" => SecdedOnlyCore::new(CoreConfig::table1()).run(t, &[]).cycles,
-        other => panic!("unknown comparator scheme {other}"),
-    };
+    let cycles = scheme.fault_free_cycles(t);
     Json::obj()
         .field("workload", job.workload.name())
         .field("inst_count", job.inst_count)
@@ -397,8 +366,7 @@ fn run_strike_job(
     grid: &CampaignGrid,
     job: CampaignJob,
     trace: &TraceProgram,
-    target: UncoreTarget,
-    index: u64,
+    cell: StrikeCell,
     reuse_cached_golden: bool,
 ) -> Json {
     let plan = grid
@@ -409,11 +377,6 @@ fn run_strike_job(
     let contention = grid
         .contention
         .unwrap_or_else(L2ContentionConfig::many_core);
-    let cell = StrikeCell {
-        target,
-        scheme: job.scheme,
-        strike: index,
-    };
     let r = run_strike(
         plan,
         cell,
@@ -461,18 +424,21 @@ pub struct CampaignReport {
     pub jobs_run: usize,
     /// Jobs skipped because a resumed log already held their records.
     pub jobs_skipped: usize,
-    /// Wall-clock milliseconds of the streaming run (expansion through
-    /// the last record append, excluding the meta stamp).
-    pub wall_ms: u64,
+    /// Wall-clock time of the streaming run (expansion through the
+    /// last record append, excluding the meta stamp).
+    pub wall: Duration,
 }
 
 impl CampaignReport {
-    /// Jobs per wall-clock second for the jobs actually executed.
+    /// Jobs per wall-clock second for the jobs actually executed; 0
+    /// when no time was measured, so the rate is always finite.
     pub fn jobs_per_sec(&self) -> f64 {
-        if self.wall_ms == 0 {
-            return self.jobs_run as f64 * 1000.0;
+        let secs = self.wall.as_secs_f64();
+        if secs > 0.0 {
+            self.jobs_run as f64 / secs
+        } else {
+            0.0
         }
-        self.jobs_run as f64 * 1000.0 / self.wall_ms as f64
     }
 }
 
@@ -548,21 +514,20 @@ impl CampaignEngine {
             return Err(e);
         }
 
-        let wall_ms = started.elapsed().as_millis() as u64;
         let report = CampaignReport {
             path: path.to_path_buf(),
             workers: self.workers,
             jobs_total: jobs.len(),
             jobs_run: pending.len(),
             jobs_skipped,
-            wall_ms,
+            wall: started.elapsed(),
         };
         let meta = Json::obj()
             .field("kind", "meta")
             .field("schema", 2u64)
             .field("experiment", grid.name.as_str())
             .field("workers", self.workers)
-            .field("wall_clock_ms", wall_ms)
+            .field("wall_clock_ms", report.wall.as_millis() as u64)
             .field("jobs", jobs.len() as u64)
             .field("jobs_run", report.jobs_run as u64)
             .field("jobs_skipped", jobs_skipped as u64)
@@ -721,6 +686,21 @@ mod tests {
         assert_eq!(jobs[1].scheme, "unsync_pair");
         assert_eq!(jobs[2].seed, 8);
         assert_eq!(jobs[4].workload.name(), "mcf");
+    }
+
+    #[test]
+    fn jobs_per_sec_is_exact_and_always_finite() {
+        let report = |wall| CampaignReport {
+            path: PathBuf::new(),
+            workers: 1,
+            jobs_total: 18,
+            jobs_run: 18,
+            jobs_skipped: 0,
+            wall,
+        };
+        let fast = report(Duration::from_micros(400)).jobs_per_sec();
+        assert!((fast - 45_000.0).abs() < 1e-6, "{fast}");
+        assert_eq!(report(Duration::ZERO).jobs_per_sec(), 0.0);
     }
 
     #[test]

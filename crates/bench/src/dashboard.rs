@@ -339,9 +339,6 @@ pub struct HealthCounters {
     /// (`exec.journal_dropped`) — non-zero means exported timelines
     /// are incomplete.
     pub journal_dropped: u64,
-    /// Contended acquisitions of the runner's sharded cache locks
-    /// (`runner.cache_lock_waits`).
-    pub cache_lock_waits: u64,
 }
 
 impl HealthCounters {
@@ -360,7 +357,6 @@ pub fn health_counters(logs: &[LoadedLog]) -> HealthCounters {
         };
         let get = |k: &str| m.get(k).and_then(Json::as_u64).unwrap_or(0);
         h.journal_dropped = h.journal_dropped.max(get("exec.journal_dropped"));
-        h.cache_lock_waits = h.cache_lock_waits.max(get("runner.cache_lock_waits"));
     }
     h
 }
@@ -369,10 +365,7 @@ pub fn health_counters(logs: &[LoadedLog]) -> HealthCounters {
 /// condition that corrupts downstream artifacts (timeline exports), so
 /// it gets an explicit warning suffix.
 pub fn render_health_line(h: &HealthCounters) -> String {
-    let mut line = format!(
-        "health: journal_dropped={} cache_lock_waits={}",
-        h.journal_dropped, h.cache_lock_waits
-    );
+    let mut line = format!("health: journal_dropped={}", h.journal_dropped);
     if h.journal_dropped > 0 {
         line.push_str("  !! journal truncated: timeline exports are incomplete");
     }
@@ -1028,11 +1021,10 @@ mod tests {
         assert!(clean.clean());
         let meta = META_A.replace(
             "\"runner.baseline_sim_runs\":7",
-            "\"exec.journal_dropped\":3,\"runner.cache_lock_waits\":5",
+            "\"exec.journal_dropped\":3",
         );
         let h = health_counters(&[log("a.jsonl", &[META_A]), log("b.jsonl", &[&meta])]);
         assert_eq!(h.journal_dropped, 3);
-        assert_eq!(h.cache_lock_waits, 5);
         assert!(!h.clean());
         let line = render_health_line(&h);
         assert!(line.contains("journal_dropped=3"));

@@ -1,18 +1,18 @@
 //! Experiment drivers for every figure and reliability study.
 
-use serde::Serialize;
 use unsync_core::{UnsyncConfig, UnsyncPair};
 use unsync_exec::{FlexConfig, FlexPair, SecdedOnlyCore, TmrTriple};
 use unsync_fault::{Coverage, FaultTarget, PairFault, SerRate};
 use unsync_isa::TraceProgram;
-use unsync_reunion::{CheckpointConfig, CheckpointHooks, LockstepPair, ReunionConfig, ReunionPair};
+use unsync_reunion::{ReunionConfig, ReunionPair};
 use unsync_sim::CoreConfig;
 use unsync_workloads::{Benchmark, Kernel, SyntheticSource, WorkloadSource};
 
 use crate::runner::Runner;
+use crate::scheme::Scheme;
 
 /// Common knobs for the simulation experiments.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExperimentConfig {
     /// Instructions simulated per benchmark per configuration.
     pub inst_count: u64,
@@ -79,7 +79,7 @@ where
 // ───────────────────────────── Figure 4 ─────────────────────────────────
 
 /// One bar group of Fig. 4.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Fig4Row {
     /// Benchmark name.
     pub bench: &'static str,
@@ -124,7 +124,7 @@ pub fn fig4_on(runner: Runner, cfg: ExperimentConfig) -> Vec<Fig4Row> {
 // ───────────────────────────── Figure 5 ─────────────────────────────────
 
 /// One (FI, latency) point of the Fig. 5 sweep for one benchmark.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Fig5Cell {
     /// Benchmark name.
     pub bench: &'static str,
@@ -185,7 +185,7 @@ pub fn fig5_on(runner: Runner, cfg: ExperimentConfig, benches: &[Benchmark]) -> 
 // ───────────────────────────── Figure 6 ─────────────────────────────────
 
 /// One CB-size point for one benchmark.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Fig6Row {
     /// Benchmark name.
     pub bench: &'static str,
@@ -234,7 +234,7 @@ pub fn fig6_on(runner: Runner, cfg: ExperimentConfig, benches: &[Benchmark]) -> 
 // ───────────────────────────── §VI-C: SER sweep ─────────────────────────
 
 /// The IPC-vs-SER extrapolation of §VI-C.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct SerSweep {
     /// Swept error rates (errors/instruction).
     pub rates: Vec<f64>,
@@ -328,7 +328,7 @@ pub fn ser_sweep_on(runner: Runner, cfg: ExperimentConfig, benches: &[Benchmark]
 // ───────────────────────────── §VI-D: ROEC ──────────────────────────────
 
 /// Aggregate fault-injection outcomes for one architecture.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct RoecArchStats {
     /// Faults injected.
     pub injected: u64,
@@ -345,7 +345,7 @@ pub struct RoecArchStats {
 }
 
 /// The §VI-D region-of-error-coverage comparison.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct RoecReport {
     /// Static ROEC fraction (bits covered by a mechanism): UnSync.
     pub unsync_roec: f64,
@@ -479,7 +479,7 @@ pub fn roec_on(runner: Runner, cfg: ExperimentConfig, campaigns: u64) -> RoecRep
 
 /// Error-free overhead of one benchmark under every redundancy
 /// discipline in the repository, relative to the unprotected baseline.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ComparatorRow {
     /// Benchmark name.
     pub bench: &'static str,
@@ -523,41 +523,17 @@ pub fn comparators_on(runner: Runner, cfg: ExperimentConfig) -> Vec<ComparatorRo
         let base = baseline_cycles(bench, cfg) as f64;
         let over = |cycles: u64| cycles as f64 / base - 1.0;
 
-        let lockstep = LockstepPair::new(CoreConfig::table1()).run(&t).cycles;
-        let reunion = ReunionPair::new(CoreConfig::table1(), ReunionConfig::paper_baseline())
-            .run(&t, &[])
-            .cycles;
-        let ckpt = {
-            let mut s = trace(bench, cfg);
-            let mut hooks = CheckpointHooks::new(CheckpointConfig::default());
-            unsync_sim::run_stream(
-                CoreConfig::table1(),
-                &mut s,
-                &mut hooks,
-                unsync_mem::WritePolicy::WriteThrough,
-            )
-            .core
-            .last_commit_cycle
-        };
-        let unsync = UnsyncPair::new(CoreConfig::table1(), UnsyncConfig::paper_baseline())
-            .run(&t, &[])
-            .cycles;
-        let tmr = TmrTriple::new(CoreConfig::table1()).run(&t, &[]).cycles;
-        let flex = FlexPair::new(CoreConfig::table1(), FlexConfig::paper_baseline())
-            .run(&t, &[])
-            .cycles;
-        let secded = SecdedOnlyCore::new(CoreConfig::table1())
-            .run(&t, &[])
-            .cycles;
+        let [lockstep, reunion, checkpoint, unsync, tmr, flex, secded] =
+            Scheme::ALL.map(|s| over(s.fault_free_cycles(&t)));
         ComparatorRow {
             bench: bench.name(),
-            lockstep_overhead: over(lockstep),
-            reunion_overhead: over(reunion),
-            checkpoint_overhead: over(ckpt),
-            unsync_overhead: over(unsync),
-            tmr_overhead: over(tmr),
-            flex_overhead: over(flex),
-            secded_overhead: over(secded),
+            lockstep_overhead: lockstep,
+            reunion_overhead: reunion,
+            checkpoint_overhead: checkpoint,
+            unsync_overhead: unsync,
+            tmr_overhead: tmr,
+            flex_overhead: flex,
+            secded_overhead: secded,
         }
     })
 }
@@ -567,7 +543,7 @@ pub fn comparators_on(runner: Runner, cfg: ExperimentConfig) -> Vec<ComparatorRo
 /// Deterministic counters of one new scheme on one benchmark under a
 /// fixed single-strike schedule — the golden/determinism surface of the
 /// PR-3 schemes (TMR voting, FlexStep granularity, SECDED-only).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SchemeValuesRow {
     /// Benchmark name.
     pub bench: &'static str,
@@ -755,22 +731,19 @@ mod tests {
     fn scheme_values_exercise_every_scheme_path() {
         let rows = scheme_values(quick());
         assert_eq!(rows.len(), SCHEME_BENCHES.len() * 3);
+        for bench_rows in rows.chunks(3) {
+            let [tmr, flex, secded] = bench_rows else {
+                unreachable!("three rows per benchmark")
+            };
+            assert_eq!(tmr.scheme, "tmr_vote");
+            assert_eq!(tmr.corrections, 1, "{tmr:?}");
+            assert_eq!(flex.scheme, "flex_step");
+            assert!(flex.compares > 0, "{flex:?}");
+            assert_eq!(secded.scheme, "secded_only");
+            assert_eq!(secded.corrected_in_place, 1, "{secded:?}");
+        }
         for r in &rows {
-            match r.scheme {
-                "tmr_vote" => {
-                    assert_eq!(r.corrections, 1, "{r:?}");
-                    assert!(r.correct, "{r:?}");
-                }
-                "flex_step" => {
-                    assert!(r.compares > 0, "{r:?}");
-                    assert!(r.correct, "{r:?}");
-                }
-                "secded_only" => {
-                    assert_eq!(r.corrected_in_place, 1, "{r:?}");
-                    assert!(r.correct, "{r:?}");
-                }
-                other => panic!("unexpected scheme {other}"),
-            }
+            assert!(r.correct, "{r:?}");
             assert!(r.detections <= 1, "{r:?}");
             assert!(r.cycles > 0 && r.committed > 0, "{r:?}");
         }

@@ -28,6 +28,7 @@ pub mod render;
 pub mod roec_uncore;
 pub mod runlog;
 pub mod runner;
+pub mod scheme;
 pub mod stats;
 pub mod timeline;
 
@@ -43,5 +44,6 @@ pub use lanesweep::{run_sweep, sweep_point, LaneSweepConfig, LaneSweepRow};
 pub use roec_uncore::{run_campaign, RoecUncoreConfig, StrikeRecord};
 pub use runlog::{Json, RunLog};
 pub use runner::{baseline_cycles, job_seed, job_seed_named, job_stream, Runner};
+pub use scheme::Scheme;
 pub use stats::{multi_seed, Summary};
 pub use timeline::{build_timeline, plan_strikes, TimelineScenarioConfig};

@@ -38,21 +38,26 @@
 
 use std::sync::Arc;
 
-use unsync_core::{UnsyncConfig, UnsyncPolicy};
-use unsync_exec::{roec_events, RedundantDriver, RunResult, SecdedOnlyPolicy, TmrVotePolicy};
+use unsync_exec::{roec_events, RedundantDriver, RunResult};
 use unsync_fault::roec::{classify, StrikeOutcome, VulnerabilityTable};
 use unsync_fault::uncore::{StrikePlan, UncoreStrike, UncoreTarget};
 use unsync_isa::{ArchMemory, TraceProgram};
-use unsync_mem::{L2ContentionConfig, WritePolicy};
+use unsync_mem::L2ContentionConfig;
 use unsync_sim::CoreConfig;
 use unsync_workloads::{Benchmark, SyntheticSource, WorkloadSource};
 
 use crate::experiments::ExperimentConfig;
 use crate::runlog::{Json, RunLog};
 use crate::runner::{golden_memory, job_seed, Runner};
+use crate::scheme::Scheme;
 
-/// The schemes the campaign compares, in table order.
-pub const SCHEMES: [&str; 3] = ["unsync_pair", "tmr_vote", "secded_only"];
+/// The schemes the campaign compares — the strike-capable
+/// [`Scheme`]s, in table order.
+pub const SCHEMES: [&str; 3] = [
+    Scheme::UnsyncPair.label(),
+    Scheme::TmrVote.label(),
+    Scheme::SecdedOnly.label(),
+];
 
 /// Configuration of one uncore campaign.
 #[derive(Debug, Clone, PartialEq)]
@@ -148,7 +153,7 @@ pub struct StrikeRecord {
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct StrikeCell {
     pub(crate) target: UncoreTarget,
-    pub(crate) scheme: &'static str,
+    pub(crate) scheme: Scheme,
     pub(crate) strike: u64,
 }
 
@@ -164,11 +169,11 @@ pub fn strike_salt(target: UncoreTarget, scheme: &str, strike: u64) -> u64 {
     unsync_isa::exec::splitmix64(h ^ strike)
 }
 
-/// Runs `trace` under one named scheme with `strikes` injected,
-/// journalling forced on. `golden` optionally supplies the memoized
-/// fault-free memory image so the driver skips its per-run golden
-/// re-execution (results are bit-identical either way — a trace's
-/// golden is unique).
+/// Runs `trace` under the scheme labelled `scheme` with `strikes`
+/// injected (see [`Scheme::run_with_strikes`]).
+///
+/// # Panics
+/// Panics if `scheme` names no scheme that takes uncore strikes.
 pub fn run_scheme_with_strikes(
     driver: &RedundantDriver,
     scheme: &str,
@@ -176,27 +181,9 @@ pub fn run_scheme_with_strikes(
     strikes: Vec<UncoreStrike>,
     golden: Option<&ArchMemory>,
 ) -> RunResult {
-    match scheme {
-        "unsync_pair" => driver.run_campaign_lane(
-            UnsyncPolicy::new(
-                "roec_uncore",
-                UnsyncConfig::paper_baseline(),
-                WritePolicy::WriteThrough,
-                0,
-            ),
-            trace,
-            Vec::new(),
-            strikes,
-            golden,
-        ),
-        "tmr_vote" => {
-            driver.run_campaign_lane(TmrVotePolicy::new(), trace, Vec::new(), strikes, golden)
-        }
-        "secded_only" => {
-            driver.run_campaign_lane(SecdedOnlyPolicy::new(), trace, Vec::new(), strikes, golden)
-        }
-        other => panic!("unknown scheme {other}"),
-    }
+    Scheme::parse(scheme)
+        .and_then(|s| s.run_with_strikes(driver, trace, strikes, golden))
+        .unwrap_or_else(|| panic!("scheme {scheme:?} takes no uncore strikes"))
 }
 
 /// Classifies one finished strike run: diffs committed memory against
@@ -233,11 +220,14 @@ pub(crate) fn run_strike(
     let strike = plan.strike(cell.target, cell.strike, stream_seed, 0);
     let driver = RedundantDriver::new(CoreConfig::table1()).with_l2_contention(contention);
     let supplied = supply_golden.then_some(golden);
-    let result = run_scheme_with_strikes(&driver, cell.scheme, trace, vec![strike], supplied);
+    let result = cell
+        .scheme
+        .run_with_strikes(&driver, trace, vec![strike], supplied)
+        .unwrap_or_else(|| panic!("{} takes no uncore strikes", cell.scheme.label()));
     let (outcome, memory_matches) = classify_strike_result(&result, golden);
     StrikeRecord {
         structure: cell.target.label(),
-        scheme: cell.scheme,
+        scheme: cell.scheme.label(),
         strike: cell.strike,
         cycle: strike.cycle,
         bit_offset: strike.site.bit_offset,
@@ -264,20 +254,23 @@ pub fn run_campaign(cfg: &RoecUncoreConfig, runner: &Runner) -> Vec<StrikeRecord
         .targets
         .iter()
         .flat_map(|&target| {
-            SCHEMES.iter().flat_map(move |&scheme| {
-                (0..strikes_per_cell).map(move |strike| StrikeCell {
-                    target,
-                    scheme,
-                    strike,
+            Scheme::ALL
+                .into_iter()
+                .filter(|s| s.takes_uncore_strikes())
+                .flat_map(move |scheme| {
+                    (0..strikes_per_cell).map(move |strike| StrikeCell {
+                        target,
+                        scheme,
+                        strike,
+                    })
                 })
-            })
         })
         .collect();
     runner.map(&jobs, |&cell| {
         let seed = job_seed(
             cfg.experiment(),
             cfg.benchmark,
-            strike_salt(cell.target, cell.scheme, cell.strike),
+            strike_salt(cell.target, cell.scheme.label(), cell.strike),
         );
         let trace = SyntheticSource::new(cfg.benchmark, cfg.inst_count, cfg.seed).trace();
         run_strike(&plan, cell, seed, &trace, cfg.contention, &golden, true)

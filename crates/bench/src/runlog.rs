@@ -91,7 +91,7 @@ impl Json {
     }
 
     /// Looks up `key` in an object (`None` for non-objects or missing
-    /// keys; last insertion wins, like serde maps).
+    /// keys; the last insertion of a key wins).
     pub fn get(&self, key: &str) -> Option<&Json> {
         match self {
             Json::Obj(fields) => fields.iter().rev().find(|(k, _)| k == key).map(|(_, v)| v),

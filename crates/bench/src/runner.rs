@@ -160,63 +160,23 @@ fn source_key(source: &dyn WorkloadSource) -> SourceKey {
     (source.name(), source.length(), source.seed())
 }
 
-/// Number of independent lock shards per memo cache. Keys hash to a
-/// shard via SplitMix64, so concurrent campaigns over *different*
-/// traces contend only when their keys collide modulo 16 — not on one
-/// global mutex.
-const CACHE_SHARDS: usize = 16;
+/// A process-wide memo cache: one lock over a map of per-key cells.
+/// Each value slot is an `Arc<OnceLock<V>>`, so the map lock is held
+/// only to fetch the cell, cold racers block on the cell, and the
+/// underlying simulation still runs exactly once per key.
+struct MemoCache<V>(Mutex<HashMap<SourceKey, Arc<OnceLock<V>>>>);
 
-/// A process-wide memo cache split into [`CACHE_SHARDS`] independently
-/// locked segments. Each value slot is an `Arc<OnceLock<V>>` so cold
-/// racers block on the cell, not the shard lock, and the underlying
-/// simulation still runs exactly once.
-struct ShardedCache<V> {
-    shards: [Mutex<HashMap<SourceKey, Arc<OnceLock<V>>>>; CACHE_SHARDS],
-}
-
-impl<V> ShardedCache<V> {
-    fn new() -> ShardedCache<V> {
-        ShardedCache {
-            shards: std::array::from_fn(|_| Mutex::new(HashMap::new())),
-        }
-    }
-
-    fn shard_index(key: &SourceKey) -> usize {
-        let (name, length, seed) = key;
-        let mut h = 0x9e37_79b9_7f4a_7c15;
-        for b in name.bytes() {
-            h = splitmix64(h ^ u64::from(b));
-        }
-        h = splitmix64(h ^ length);
-        h = splitmix64(h ^ seed);
-        (h % CACHE_SHARDS as u64) as usize
-    }
-
-    /// Fetch (or insert) the memo cell for `key`, contending only on
-    /// the key's shard. An uncontended `try_lock` is the fast path; a
-    /// busy shard counts one `runner.cache_lock_waits` — and records
-    /// the wall-clock wait into `prof.runner.cache_lock_wait` — before
-    /// falling back to a blocking acquire.
+impl<V> MemoCache<V> {
+    /// Fetch (or insert) the memo cell for `key`.
     fn cell(&self, key: SourceKey) -> Arc<OnceLock<V>> {
-        let shard = &self.shards[Self::shard_index(&key)];
-        let mut guard = match shard.try_lock() {
-            Ok(guard) => guard,
-            Err(std::sync::TryLockError::WouldBlock) => {
-                metrics::global().counter("runner.cache_lock_waits").inc();
-                let _t = unsync_obs::prof::scope("runner.cache_lock_wait");
-                shard.lock().expect("memo cache shard poisoned")
-            }
-            Err(std::sync::TryLockError::Poisoned(e)) => {
-                panic!("memo cache shard poisoned: {e}")
-            }
-        };
-        Arc::clone(guard.entry(key).or_default())
+        let mut map = self.0.lock().expect("memo cache poisoned");
+        Arc::clone(map.entry(key).or_default())
     }
 }
 
-fn baseline_cache() -> &'static ShardedCache<u64> {
-    static CACHE: OnceLock<ShardedCache<u64>> = OnceLock::new();
-    CACHE.get_or_init(ShardedCache::new)
+fn baseline_cache() -> &'static MemoCache<u64> {
+    static CACHE: OnceLock<MemoCache<u64>> = OnceLock::new();
+    CACHE.get_or_init(|| MemoCache(Mutex::default()))
 }
 
 /// Baseline (unprotected Table I CMP) cycle count for one workload
@@ -248,9 +208,9 @@ pub fn baseline_cycles(bench: Benchmark, cfg: ExperimentConfig) -> u64 {
     baseline_cycles_source(&SyntheticSource::new(bench, cfg.inst_count, cfg.seed))
 }
 
-fn golden_cache() -> &'static ShardedCache<Arc<ArchMemory>> {
-    static CACHE: OnceLock<ShardedCache<Arc<ArchMemory>>> = OnceLock::new();
-    CACHE.get_or_init(ShardedCache::new)
+fn golden_cache() -> &'static MemoCache<Arc<ArchMemory>> {
+    static CACHE: OnceLock<MemoCache<Arc<ArchMemory>>> = OnceLock::new();
+    CACHE.get_or_init(|| MemoCache(Mutex::default()))
 }
 
 /// The golden (fault-free functional) memory image of one workload
@@ -332,55 +292,6 @@ mod tests {
             )
         );
         assert_eq!(a, job_seed(cfg, Benchmark::Gzip, 0), "stable");
-    }
-
-    #[test]
-    fn baseline_is_simulated_once_then_cached() {
-        let cfg = ExperimentConfig {
-            inst_count: 2_000,
-            seed: 940_271,
-        };
-        let runs = metrics::global().counter("runner.baseline_sim_runs");
-        let hits = metrics::global().counter("runner.baseline_cache_hits");
-        let (runs0, hits0) = (runs.get(), hits.get());
-        let a = baseline_cycles(Benchmark::Sha, cfg);
-        // Concurrent and repeated lookups all reuse the one simulation.
-        let again = Runner::new(4).map(&[0u64; 8], |_| baseline_cycles(Benchmark::Sha, cfg));
-        assert!(again.iter().all(|&c| c == a));
-        assert_eq!(runs.get() - runs0, 1, "exactly one simulation");
-        assert_eq!(hits.get() - hits0, 8, "every other lookup hit the cache");
-    }
-
-    #[test]
-    fn golden_is_simulated_once_then_cached() {
-        let cfg = ExperimentConfig {
-            inst_count: 1_500,
-            seed: 552_803,
-        };
-        let runs = metrics::global().counter("runner.golden_sim_runs");
-        let hits = metrics::global().counter("runner.golden_cache_hits");
-        let (runs0, hits0) = (runs.get(), hits.get());
-        let g = golden_memory(Benchmark::Dijkstra, cfg);
-        let again = Runner::new(4).map(&[0u64; 6], |_| golden_memory(Benchmark::Dijkstra, cfg));
-        assert!(again.iter().all(|m| **m == *g));
-        assert_eq!(runs.get() - runs0, 1, "exactly one golden execution");
-        assert_eq!(hits.get() - hits0, 6, "every other lookup hit the cache");
-        // And the image really is the golden run of that trace.
-        let trace = SyntheticSource::new(Benchmark::Dijkstra, cfg.inst_count, cfg.seed).trace();
-        assert_eq!(*g, golden_run(&trace).1);
-    }
-
-    #[test]
-    fn kernel_sources_share_the_memo_caches() {
-        let source = unsync_workloads::Kernel::Crc32.source(1_200, 77_031);
-        let runs = metrics::global().counter("runner.baseline_sim_runs");
-        let runs0 = runs.get();
-        let a = baseline_cycles_source(&source);
-        let b = baseline_cycles_source(&source);
-        assert_eq!(a, b);
-        assert_eq!(runs.get() - runs0, 1, "kernel baseline simulated once");
-        let g = golden_memory_source(&source);
-        assert_eq!(*g, golden_run(&source.trace()).1);
     }
 
     #[test]

@@ -7,10 +7,8 @@
 //! drivers use), and [`multi_seed`] runs any experiment closure across a
 //! seed set in parallel.
 
-use serde::Serialize;
-
 /// Mean / spread summary of one metric across seeds.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Summary {
     /// Number of samples.
     pub n: usize,

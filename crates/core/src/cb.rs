@@ -14,7 +14,6 @@
 
 use std::collections::VecDeque;
 
-use serde::{Deserialize, Serialize};
 use unsync_fault::crc16_word;
 use unsync_mem::MemSystem;
 
@@ -28,7 +27,7 @@ use unsync_mem::MemSystem;
 /// store value can reach the protected L2 before its error is detected,
 /// reopening exactly the silent-corruption window UnSync exists to
 /// close.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DrainPolicy {
     /// Drain when both cores produced the entry (the paper's design).
     #[default]
@@ -38,7 +37,7 @@ pub enum DrainPolicy {
 }
 
 /// One CB entry on one side of the pair.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct CbEntry {
     /// Producing store's dynamic sequence number (the pairing tag).
     seq: u64,
@@ -78,7 +77,7 @@ impl CbEntry {
 }
 
 /// Statistics of one CB side.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CbSideStats {
     /// Stores pushed.
     pub pushes: u64,
@@ -89,7 +88,7 @@ pub struct CbSideStats {
 }
 
 /// The paired Communication Buffers of one UnSync core pair.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PairedCb {
     capacity: usize,
     policy: DrainPolicy,
@@ -311,7 +310,7 @@ impl PairedCb {
 
 /// An `N`-sided Communication Buffer for [`crate::nway::UnsyncGroup`]:
 /// an entry drains once **every** replica has produced it.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct GroupCb {
     capacity: usize,
     sides: Vec<VecDeque<CbEntry>>,

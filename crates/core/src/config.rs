@@ -1,7 +1,5 @@
 //! UnSync configuration.
 
-use serde::{Deserialize, Serialize};
-
 use crate::cb::DrainPolicy;
 
 /// When a detection block observes a strike.
@@ -13,7 +11,7 @@ use crate::cb::DrainPolicy;
 /// by the calibrated experiments); [`DetectionTiming::OnFirstUse`]
 /// models the read-triggered behaviour for register-file strikes,
 /// letting dead-value strikes pass benignly.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DetectionTiming {
     /// Every strike triggers detection at the striking instruction.
     #[default]
@@ -29,7 +27,7 @@ pub enum DetectionTiming {
 /// (§III-B1); its §VIII future work names "multi-bit correction for
 /// cache blocks" as a drop-in upgrade. Line parity misses adjacent
 /// double-bit upsets (an even number of flips), SECDED detects them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum L1Protection {
     /// 1 parity bit per line (the paper's design, ≈0.2 % area).
     #[default]
@@ -45,7 +43,7 @@ pub enum L1Protection {
 /// the L1 is write-through, an alternative is to just invalidate the bad
 /// L1 and let demand misses refill from the ECC-protected L2: far
 /// cheaper per event, paid back as cold misses afterwards.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RecoveryMode {
     /// Copy the whole L1 from the error-free core (the paper's design).
     #[default]
@@ -55,7 +53,7 @@ pub enum RecoveryMode {
 }
 
 /// Parameters of the UnSync machinery.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct UnsyncConfig {
     /// Communication-Buffer entries per core (paper §V: 10).
     pub cb_entries: usize,

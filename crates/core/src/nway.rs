@@ -17,7 +17,6 @@
 //! (it opts out of the driver's pair-shaped pending-store tracking and
 //! manages group store agreement itself).
 
-use serde::{Deserialize, Serialize};
 use unsync_exec::{LaneState, OutcomeCore, RedundancyPolicy, RedundantDriver, TraceEventKind};
 use unsync_fault::PairFault;
 use unsync_isa::{Inst, TraceProgram};
@@ -28,7 +27,7 @@ use crate::cb::GroupCb;
 use crate::config::UnsyncConfig;
 
 /// Outcome of running an N-way redundancy group.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GroupOutcome {
     /// The counters all schemes share (committed, cycles, recoveries,
     /// unrecoverable, …).

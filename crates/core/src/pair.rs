@@ -20,7 +20,6 @@
 //! 6. both cores resume from the error-free core's PC — *always
 //!    forward*, no re-execution.
 
-use serde::{Deserialize, Serialize};
 use unsync_exec::{
     LaneState, OutcomeCore, RedundancyPolicy, RedundantDriver, SegmentVerdict, TraceEventKind,
 };
@@ -34,7 +33,7 @@ use crate::cb::PairedCb;
 use crate::config::UnsyncConfig;
 
 /// Result of running an UnSync pair to completion.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct UnsyncOutcome {
     /// The counters all schemes share (committed, cycles, detections,
     /// recoveries, …).

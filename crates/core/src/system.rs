@@ -10,7 +10,6 @@
 //! [`crate::pair::UnsyncPolicy`] lane per pair interleaved
 //! advance-the-laggard over the shared memory system.
 
-use serde::{Deserialize, Serialize};
 use unsync_exec::{OutcomeCore, RedundantDriver, TraceEventKind};
 use unsync_isa::TraceProgram;
 use unsync_mem::WritePolicy;
@@ -20,7 +19,7 @@ use crate::config::UnsyncConfig;
 use crate::pair::UnsyncPolicy;
 
 /// Per-pair results of a system run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SystemPairStats {
     /// Pair index.
     pub pair: usize,
@@ -42,7 +41,7 @@ impl std::ops::Deref for SystemPairStats {
 }
 
 /// Whole-system results.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SystemOutcome {
     /// Per-pair statistics.
     pub pairs: Vec<SystemPairStats>,

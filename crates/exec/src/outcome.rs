@@ -1,13 +1,11 @@
 //! The outcome counters every redundancy scheme shares.
 
-use serde::{Deserialize, Serialize};
-
 /// Counters common to every redundancy scheme's outcome.
 ///
 /// Scheme outcomes (`UnsyncOutcome`, `PairOutcome`, `LockstepOutcome`,
 /// `GroupOutcome`, …) embed one of these as their `core` field and
 /// `Deref` to it, so `ipc()` / `correct()` exist exactly once.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OutcomeCore {
     /// Committed (for rollback schemes: verified) instructions.
     pub committed: u64,

@@ -28,7 +28,6 @@
 //! register-file strike detected only when read in a later window) is
 //! abandoned with the replicas resynchronized.
 
-use serde::{Deserialize, Serialize};
 use unsync_fault::{FaultTarget, Fingerprint, PairFault};
 use unsync_isa::{Inst, TraceProgram};
 use unsync_mem::MemSystem;
@@ -44,7 +43,7 @@ use crate::policy::{RedundancyPolicy, SegmentVerdict};
 const MAX_ROLLBACK_RETRIES: u32 = 3;
 
 /// Runtime knobs of the granularity scheme.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FlexConfig {
     /// Comparison interval in instructions (the FlexStep knob; 1 =
     /// per-instruction, lockstep-like; 1024 = checkpoint-like).
@@ -77,7 +76,7 @@ impl FlexConfig {
 }
 
 /// Outcome of running a flexible-granularity pair.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FlexOutcome {
     /// The counters all schemes share.
     pub core: OutcomeCore,

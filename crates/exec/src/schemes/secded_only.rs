@@ -24,7 +24,6 @@
 //!
 //! [`decode`]: SecdedCodeword::decode
 
-use serde::{Deserialize, Serialize};
 use unsync_fault::{FaultKind, FaultSite, FaultTarget, PairFault, SecdedCodeword, SecdedOutcome};
 use unsync_isa::{Inst, TraceProgram};
 use unsync_mem::MemSystem;
@@ -40,7 +39,7 @@ use crate::policy::RedundancyPolicy;
 const DOUBLE_ERROR_STALL: u64 = 8;
 
 /// Outcome of running the SECDED-only baseline.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SecdedOnlyOutcome {
     /// The counters all schemes share.
     pub core: OutcomeCore,

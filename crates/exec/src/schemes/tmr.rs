@@ -23,7 +23,6 @@
 //! replica; distinct ones deadlock the vote 1-1-1), which the voter
 //! reports as detected-but-uncorrectable.
 
-use serde::{Deserialize, Serialize};
 use unsync_fault::{FaultTarget, PairFault};
 use unsync_isa::{Inst, TraceProgram};
 use unsync_mem::MemSystem;
@@ -43,7 +42,7 @@ const WAYS: usize = 3;
 const CORRECTION_STALL: u64 = 16;
 
 /// Outcome of running a TMR triple.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TmrOutcome {
     /// The counters all schemes share (committed, cycles, detections,
     /// unrecoverable, …).

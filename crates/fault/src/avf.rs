@@ -16,13 +16,11 @@
 //! UnSync's pitch in these terms: it converts the baseline's entire SDC
 //! rate into (recoverable) DUE at ~7 % area cost.
 
-use serde::{Deserialize, Serialize};
-
 use crate::inject::{Coverage, FaultTarget, ALL_TARGETS};
 use unsync_isa::TraceProgram;
 
 /// Per-structure AVF estimates (fraction of bits holding live data).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AvfEstimate {
     /// Architectural register file.
     pub register_file: f64,
@@ -124,7 +122,7 @@ pub fn estimate(trace: &TraceProgram, rob_util: f64, iq_util: f64, lsq_util: f64
 }
 
 /// SDC/DUE split for one architecture, in AVF-weighted vulnerable bits.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SdcDueSplit {
     /// AVF-weighted bits whose strikes corrupt silently.
     pub sdc_bits: f64,

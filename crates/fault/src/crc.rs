@@ -13,8 +13,6 @@
 //! instruction's (pc, result) update into the running checksum exactly the
 //! way the CHECK stage consumes the commit stream.
 
-use serde::{Deserialize, Serialize};
-
 /// CRC-16/CCITT generator polynomial (x^16 + x^12 + x^5 + 1).
 pub const CRC16_CCITT_POLY: u16 = 0x1021;
 
@@ -96,7 +94,7 @@ pub fn crc16_word(mut crc: u16, word: u64) -> u16 {
 /// }
 /// assert_eq!(vocal.take(), mute.take()); // identical streams agree
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Fingerprint {
     crc: u16,
     /// Instructions folded in since the last [`Fingerprint::take`].

@@ -7,11 +7,9 @@
 //! `unsync-hwcost`). DMR detects any corruption of one copy; TMR also
 //! corrects it by majority vote.
 
-use serde::{Deserialize, Serialize};
-
 /// A DMR-protected 64-bit register: two copies written together, compared
 /// on every read.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DmrReg {
     main: u64,
     shadow: u64,
@@ -70,7 +68,7 @@ impl DmrReg {
 /// A TMR-protected 64-bit register: three copies with majority voting.
 /// Used only by the design-space ablations (the paper rejects TMR for its
 /// ~200 % power overhead).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TmrReg {
     copies: [u64; 3],
 }

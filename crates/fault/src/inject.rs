@@ -11,11 +11,10 @@
 //! planner that turns an error arrival into a concrete
 //! (structure, entry, bit) fault site.
 
-use serde::{Deserialize, Serialize};
 use unsync_isa::exec::splitmix64;
 
 /// A sequential structure a particle can strike.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultTarget {
     /// Architectural register file (64 × 64 bits).
     RegisterFile,
@@ -101,7 +100,7 @@ impl FaultTarget {
 
 /// The hardware mechanism that detects (or corrects) an error in a
 /// structure.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DetectionMechanism {
     /// 1-bit even parity, verified on read.
     Parity,
@@ -114,7 +113,7 @@ pub enum DetectionMechanism {
 }
 
 /// Which mechanism (if any) covers each structure under one architecture.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Coverage {
     name: &'static str,
     map: Vec<(FaultTarget, Option<DetectionMechanism>)>,
@@ -235,7 +234,7 @@ impl Coverage {
 /// misses an even number of flips in its coverage domain, which is
 /// exactly the hole the paper's §VIII future work ("multi-bit correction
 /// for cache blocks") would close.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum FaultKind {
     /// Classic single-event upset: one bit.
     #[default]
@@ -247,7 +246,7 @@ pub enum FaultKind {
 }
 
 /// A concrete fault: one bit of one entry of one structure.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct FaultSite {
     /// Struck structure.
     pub target: FaultTarget,
@@ -277,7 +276,7 @@ impl FaultSite {
 }
 
 /// A planned fault against one core of a redundant pair.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PairFault {
     /// Dynamic instruction index at which the fault strikes.
     pub at: u64,
@@ -317,7 +316,7 @@ impl PairFault {
 }
 
 /// A reproducible set of fault sites for an injection campaign.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct InjectionPlan {
     seed: u64,
     sites: Vec<(u64, FaultSite)>,

@@ -10,8 +10,6 @@
 //! number. A single-event upset flips one bit, so single-strike coverage
 //! is complete; the property tests below pin down both behaviours.
 
-use serde::{Deserialize, Serialize};
-
 /// Even parity bit of a 64-bit word: `1` iff the popcount is odd, so that
 /// `word popcount + parity` is always even.
 #[inline]
@@ -33,7 +31,7 @@ pub fn parity_bit(word: u64) -> bool {
 /// w.flip_data_bit(3);
 /// assert_eq!(w.load(), Err(42 ^ 8)); // detected on the next read
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ParityWord {
     data: u64,
     parity: bool,

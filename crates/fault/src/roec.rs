@@ -33,12 +33,10 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 /// The event classes the classifier reads — a stable, minimal mirror
 /// of the executor's `TraceEventKind` (only detection-relevant kinds
 /// are distinguished; everything else maps to [`RoecEventKind::Other`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RoecEventKind {
     /// A detection mechanism fired.
     Detection,
@@ -61,7 +59,7 @@ pub enum RoecEventKind {
 }
 
 /// One journal event as the classifier sees it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RoecEvent {
     /// What happened.
     pub kind: RoecEventKind,
@@ -83,7 +81,7 @@ impl RoecEvent {
 }
 
 /// The four-way outcome of one strike.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum StrikeOutcome {
     /// Not live, or overwritten before use: no detection, memory clean.
     Masked,
@@ -157,7 +155,7 @@ pub fn classify(events: &[RoecEvent], memory_matches_golden: bool) -> StrikeOutc
 }
 
 /// Outcome tallies of one (structure, scheme) cell.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OutcomeCounts {
     /// Strikes labelled masked.
     pub masked: u64,
@@ -230,7 +228,7 @@ fn ratio(num: u64, den: u64) -> f64 {
 }
 
 /// One row of the rendered vulnerability table.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VulnerabilityRow {
     /// Structure label ([`crate::uncore::UncoreTarget::label`]).
     pub structure: String,
@@ -242,7 +240,7 @@ pub struct VulnerabilityRow {
 
 /// The AVF-style per-structure vulnerability table: outcome tallies
 /// keyed by (structure, scheme), deterministically ordered.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct VulnerabilityTable {
     cells: BTreeMap<(String, String), OutcomeCounts>,
 }

@@ -14,8 +14,6 @@
 //! FIT) — the quantitative background for the paper's assumption that
 //! the shared L2's ECC makes it a safe recovery source.
 
-use serde::{Deserialize, Serialize};
-
 /// Seconds per hour (FIT rates are per 10⁹ device-hours).
 const SECONDS_PER_HOUR: f64 = 3600.0;
 
@@ -31,7 +29,7 @@ const SECONDS_PER_HOUR: f64 = 3600.0;
 /// // uncorrectable (double-strike) errors.
 /// assert!(l2.uncorrectable_fit(3_600.0) < 1.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScrubModel {
     /// Per-bit soft-error rate, FIT (failures per 10⁹ bit-hours).
     pub fit_per_bit: f64,

@@ -13,8 +13,6 @@
 //! parity bit that upgrades single-error correction to double-error
 //! detection.
 
-use serde::{Deserialize, Serialize};
-
 /// Number of data bits per codeword.
 pub const DATA_BITS: u32 = 64;
 /// Number of check bits per codeword (7 Hamming + 1 overall parity).
@@ -23,7 +21,7 @@ pub const CHECK_BITS: u32 = 8;
 pub const CODEWORD_BITS: u32 = DATA_BITS + CHECK_BITS;
 
 /// Result of decoding a possibly-corrupt codeword.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SecdedOutcome {
     /// No error; the payload is the stored data.
     Clean(u64),
@@ -60,7 +58,7 @@ impl SecdedOutcome {
 /// cw.flip_bit(17); // a particle strike
 /// assert_eq!(cw.decode(), SecdedOutcome::Corrected { data: 0xdead_beef, bit: 17 });
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SecdedCodeword {
     bits: u128, // low 72 bits used
 }

@@ -27,13 +27,12 @@
 //! ticks) and *classified* by [`crate::roec`]; this module is pure
 //! planning and never touches execution state.
 
-use serde::{Deserialize, Serialize};
 use unsync_isa::exec::splitmix64;
 
 use crate::inject::{DetectionMechanism, FaultKind};
 
 /// An injectable uncore structure.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum UncoreTarget {
     /// Shared-L2 data arrays (the banked lines of
     /// `unsync_mem::L2Contention`'s cache).
@@ -119,7 +118,7 @@ impl UncoreTarget {
 }
 
 /// A struck bit within an uncore structure.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct UncoreSite {
     /// The struck structure.
     pub target: UncoreTarget,
@@ -173,7 +172,7 @@ impl UncoreSite {
 /// struck state is shared machinery whose liveness (a valid L2 line, an
 /// outstanding miss, a busy bank port, an occupied CB slot) is a
 /// function of wall-clock time, not of any one instruction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct UncoreStrike {
     /// Wall-clock cycle of the strike (delivered at the first scheduler
     /// tick of the lane at or after this cycle).
@@ -244,7 +243,7 @@ impl UncoreStrike {
 /// the uniform/directed alternation) directly — the ROEC campaign and
 /// the batched campaign engine share this one expansion so their grids
 /// can never drift apart.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StrikePlan {
     /// The structures the plan strikes, in cell order.
     pub targets: Vec<UncoreTarget>,
@@ -306,7 +305,7 @@ impl StrikePlan {
 
 /// Which detection mechanism guards each uncore structure under one
 /// scheme — the uncore analogue of [`crate::Coverage`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct UncoreProtection {
     map: Vec<(UncoreTarget, Option<DetectionMechanism>)>,
 }

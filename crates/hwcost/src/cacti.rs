@@ -9,8 +9,6 @@
 //! calibrated to the paper's reported deltas: parity = +0.26 % area /
 //! +0.26 % power, SECDED = +7.86 % area / +9.9 % power on the 32 KB L1.
 
-use serde::{Deserialize, Serialize};
-
 /// Fraction of a cache macro occupied by the data storage arrays (the
 /// part that grows with check bits).
 pub const STORAGE_FRACTION: f64 = 0.55;
@@ -23,7 +21,7 @@ pub const BASE_L1_POWER_MW: f64 = 38.35;
 pub const BASE_L1_BITS: f64 = 32.0 * 1024.0 * 8.0;
 
 /// Error-protection scheme on a cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CacheProtection {
     /// No protection (baseline).
     None,
@@ -84,7 +82,7 @@ impl CacheProtection {
 }
 
 /// An L1-class cache macro under a protection scheme.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CacheModel {
     /// Capacity in bytes.
     pub size_bytes: u64,

@@ -1,7 +1,5 @@
 //! The 65 nm component library.
 
-use serde::Serialize;
-
 /// Area of one 2-input-gate equivalent at 65 nm, µm² (standard-cell
 /// NAND2-equivalent with routing share, nominal density 0.49 per §V).
 pub const GATE_AREA_UM2: f64 = 2.08;
@@ -22,7 +20,7 @@ pub const DMR_LATCH_UM2: f64 = 4.20;
 pub const CRC16_GATES: u32 = 238;
 
 /// One named hardware block with its synthesized area and power.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Component {
     /// Block name.
     pub name: &'static str,
@@ -66,7 +64,7 @@ impl Component {
 }
 
 /// A detection mechanism, costed per protected bit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MechanismCost {
     /// 1-bit parity per word/line + XOR tree.
     Parity,

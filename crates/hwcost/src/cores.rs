@@ -9,8 +9,6 @@
 //! §IV-4 attributes it to +34 % metal wiring); UnSync adds DMR shadow
 //! latches + comparators, parity trees and the EIH interface.
 
-use serde::Serialize;
-
 use crate::cacti::{CacheModel, CacheProtection};
 use crate::components::{
     Component, CRC16_GATES, CSB_CELL_UM2, DMR_LATCH_UM2, GATE_AREA_UM2, RF_CELL_UM2,
@@ -53,7 +51,7 @@ pub fn cb_area_um2(entries: u32) -> f64 {
 /// let overhead = unsync.area_overhead_vs(&base) * 100.0;
 /// assert!((overhead - 7.45).abs() < 0.2);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CoreModel {
     /// Configuration name ("Basic MIPS", "Reunion", "UnSync").
     pub name: &'static str,

@@ -6,8 +6,6 @@
 //! `V` roughly linear in `f` across the DVFS range; static power scales
 //! with `V`.
 
-use serde::{Deserialize, Serialize};
-
 use crate::cores::CoreModel;
 use crate::energy::SYNTHESIS_CLOCK_HZ;
 
@@ -23,7 +21,7 @@ use crate::energy::SYNTHESIS_CLOCK_HZ;
 /// // Halving the clock saves superlinear power (voltage drops with it).
 /// assert!(dvfs.power_at(&unsync, 2.0e9) > 2.0 * dvfs.power_at(&unsync, 1.0e9));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DvfsModel {
     /// Lowest operating frequency, Hz.
     pub f_min_hz: f64,

@@ -7,15 +7,13 @@
 //! overhead" claim — a redundant scheme that is both slower *and*
 //! hungrier compounds its cost in EDP.
 
-use serde::Serialize;
-
 use crate::cores::CoreModel;
 
 /// Synthesis clock the Table II power numbers were characterized at, Hz.
 pub const SYNTHESIS_CLOCK_HZ: f64 = 300e6;
 
 /// Energy accounting for one configuration running one workload.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnergyReport {
     /// Configuration name.
     pub name: &'static str,

@@ -3,12 +3,10 @@
 //! §VI-A2: per-core area overheads (CAO) from Table II are scaled onto
 //! published many-core processors: `DA = n × CA × CAO + DA_orig`.
 
-use serde::Serialize;
-
 use crate::cores::CoreModel;
 
 /// A published many-core processor used as a projection target.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ManyCoreChip {
     /// Product name.
     pub name: &'static str,
@@ -48,7 +46,7 @@ pub const TABLE3_CHIPS: [ManyCoreChip; 3] = [
 ];
 
 /// A projected die size for one chip under one error-resilient scheme.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DieProjection {
     /// The target chip.
     pub chip: ManyCoreChip,

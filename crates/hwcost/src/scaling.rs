@@ -11,12 +11,10 @@
 //! hence per-chip FIT — grow quadratically, which is the paper's core
 //! motivation.
 
-use serde::{Deserialize, Serialize};
-
 use crate::cores::CoreModel;
 
 /// A CMOS technology node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TechNode {
     /// 90 nm (the Tilera / GeForce node of Table III).
     Nm90,
@@ -73,7 +71,7 @@ impl TechNode {
 }
 
 /// A core model projected to a node.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScaledCore {
     /// The node projected to.
     pub node: TechNode,

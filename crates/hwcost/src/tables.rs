@@ -1,12 +1,10 @@
 //! Table II and Table III as data structures with render helpers.
 
-use serde::Serialize;
-
 use crate::cores::CoreModel;
 use crate::projection::{DieProjection, TABLE3_CHIPS};
 
 /// One column of Table II (one core configuration).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Table2Row {
     /// Configuration name.
     pub name: &'static str,
@@ -33,7 +31,7 @@ pub struct Table2Row {
 }
 
 /// Table II: hardware overhead comparison.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Table2 {
     /// Basic MIPS column.
     pub basic: Table2Row,
@@ -72,7 +70,7 @@ pub fn table2() -> Table2 {
 }
 
 /// Table III: projected die sizes.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table3 {
     /// One projection per chip.
     pub rows: Vec<DieProjection>,

@@ -11,14 +11,12 @@
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
-use serde::{Deserialize, Serialize};
-
 use crate::inst::Inst;
 use crate::op::OpClass;
 use crate::reg::{Reg, NUM_REGS};
 
 /// Architectural register file + program counter.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ArchState {
     regs: Vec<u64>,
     /// Program counter (sequence-position based in this trace-driven model).
@@ -174,7 +172,7 @@ impl Hasher for PageIdHasher {
 /// One 512-word page: a dense word array plus a written-word bitmask
 /// (unwritten slots stay zero, so derived equality over the map is
 /// exactly "same written words, same values").
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 struct Page {
     words: Box<[u64; PAGE_WORDS]>,
     written: [u64; PAGE_WORDS / 64],
@@ -200,7 +198,7 @@ impl Page {
 /// lookup plus an array index instead of a `BTreeMap` descent — this is
 /// hit on every load, store, commit, and golden verification of every
 /// run (see ARCHITECTURE.md, "The per-instruction hot path").
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ArchMemory {
     pages: HashMap<u64, Page, BuildHasherDefault<PageIdHasher>>,
     footprint: usize,

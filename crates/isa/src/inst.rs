@@ -1,12 +1,10 @@
 //! Dynamic instruction records.
 
-use serde::{Deserialize, Serialize};
-
 use crate::op::OpClass;
 use crate::reg::Reg;
 
 /// Memory-access information attached to loads and stores.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MemInfo {
     /// Effective (byte) address of the access.
     pub addr: u64,
@@ -23,7 +21,7 @@ impl MemInfo {
 }
 
 /// Control-flow information attached to branches.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct BranchInfo {
     /// Whether the branch is taken in this dynamic instance.
     pub taken: bool,
@@ -44,7 +42,7 @@ pub struct BranchInfo {
 /// and consumed by the timing models. All scheduling-relevant facts are
 /// explicit fields; the functional result is computed deterministically by
 /// [`crate::exec::ArchState::execute`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Inst {
     /// Dynamic sequence number (position in the trace, starting at 0).
     pub seq: u64,

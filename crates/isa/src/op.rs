@@ -1,14 +1,12 @@
 //! Operation classes and their functional-unit characteristics.
 
-use serde::{Deserialize, Serialize};
-
 /// The operation class of an instruction.
 ///
 /// Classes are the granularity at which the timing model distinguishes
 /// instructions: each class maps to a functional-unit kind, an execution
 /// latency, and the structural properties (memory access, control flow,
 /// serialization) that the UnSync/Reunion machinery cares about.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OpClass {
     /// Integer add/sub/logic/shift/compare. 1-cycle latency.
     IntAlu,
@@ -144,7 +142,7 @@ impl OpClass {
 }
 
 /// Functional-unit pools of the modelled core.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FuKind {
     /// Simple integer ALUs (also execute branches, traps, barriers, nops).
     IntAlu,

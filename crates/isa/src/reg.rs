@@ -6,8 +6,6 @@
 //! zero and discards writes, matching Alpha/MIPS conventions — workload
 //! generators use it for result-discarding instructions.
 
-use serde::{Deserialize, Serialize};
-
 /// Number of integer architectural registers.
 pub const NUM_INT_REGS: u8 = 32;
 /// Number of floating-point architectural registers.
@@ -20,7 +18,7 @@ pub const NUM_REGS: u8 = NUM_INT_REGS + NUM_FP_REGS;
 /// Indices `0..32` name integer registers, `32..64` floating-point
 /// registers. The newtype keeps register indices from being confused with
 /// the many other small integers flying around a cycle-level simulator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Reg(u8);
 
 impl Reg {

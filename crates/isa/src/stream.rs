@@ -1,7 +1,5 @@
 //! Instruction streams and trace statistics.
 
-use serde::{Deserialize, Serialize};
-
 use crate::inst::Inst;
 use crate::op::{OpClass, ALL_OP_CLASSES};
 
@@ -24,7 +22,7 @@ pub trait InstStream {
 }
 
 /// A materialized instruction trace.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct TraceProgram {
     insts: Vec<Inst>,
     cursor: usize,
@@ -112,7 +110,7 @@ impl InstStream for TraceProgram {
 
 /// Summary statistics of a trace — the knobs the paper's evaluation cites
 /// (serializing fraction, store intensity, branch behaviour).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct TraceStats {
     /// Total instructions.
     pub total: u64,

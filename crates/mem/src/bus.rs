@@ -7,10 +7,8 @@
 //! occupies the bus for a number of *beats* (cycles) and requests are
 //! granted in arrival order.
 
-use serde::{Deserialize, Serialize};
-
 /// A time-multiplexed bus.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Bus {
     busy_until: u64,
     /// Total beats of occupancy granted (for utilization accounting).

@@ -1,11 +1,9 @@
 //! Set-associative cache timing model with true-LRU replacement.
 
-use serde::{Deserialize, Serialize};
-
 use crate::config::CacheConfig;
 
 /// Whether an access reads or writes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AccessKind {
     /// A read (load or instruction fetch).
     Read,
@@ -19,7 +17,7 @@ pub enum AccessKind {
 /// with write-back, a second error striking a dirty line in the good core
 /// during recovery is unrecoverable (Fig. 2). Both policies are
 /// implemented so that the ablation bench can measure that scenario.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WritePolicy {
     /// Every store is propagated to the next level immediately; lines are
     /// never dirty.
@@ -29,7 +27,7 @@ pub enum WritePolicy {
 }
 
 /// What one access did to the cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheResponse {
     /// Whether the access hit.
     pub hit: bool,
@@ -46,7 +44,7 @@ pub struct CacheResponse {
 }
 
 /// Hit/miss counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Read accesses.
     pub reads: u64,
@@ -82,7 +80,7 @@ impl CacheStats {
     }
 }
 
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 struct Way {
     tag: u64,
     valid: bool,
@@ -117,7 +115,7 @@ const INVALID_WAY: Way = Way {
 /// let resp = l1.access(0x1000, AccessKind::Write);
 /// assert_eq!(resp.write_through, Some(0x1000 / 64));
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Cache {
     cfg: CacheConfig,
     policy: WritePolicy,

@@ -1,9 +1,7 @@
 //! Memory-hierarchy configuration (defaults = the paper's Table I).
 
-use serde::{Deserialize, Serialize};
-
 /// Geometry and timing of one cache level.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
     /// Total capacity in bytes.
     pub size_bytes: u64,
@@ -89,7 +87,7 @@ impl CacheConfig {
 }
 
 /// TLB geometry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TlbConfig {
     /// Number of entries.
     pub entries: u32,
@@ -124,7 +122,7 @@ impl TlbConfig {
 }
 
 /// Full hierarchy configuration for one CMP.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HierarchyConfig {
     /// Per-core L1 data cache.
     pub l1d: CacheConfig,

@@ -28,12 +28,10 @@
 //! what keeps all pre-existing golden snapshots byte-identical
 //! (pinned by `tests/l2_contention.rs`).
 
-use serde::{Deserialize, Serialize};
-
 use crate::bus::Bus;
 
 /// Knobs of the contended-L2 model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct L2ContentionConfig {
     /// Number of independently-ported L2 banks (line address modulo
     /// banks selects the bank). Must be at least 1.
@@ -72,7 +70,7 @@ impl L2ContentionConfig {
 /// One recorded bank-conflict stall, attributable to the requesting
 /// core: at `cycle` the request found its bank occupied and waited
 /// `stall` cycles for the port.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct L2ContentionEvent {
     /// Global core index of the requester.
     pub core: usize,
@@ -89,7 +87,7 @@ pub struct L2ContentionEvent {
 /// Only meaningful while banking is active (`bank_busy_beats > 0`) —
 /// the inert configuration skips bank routing entirely, so these stay
 /// zero there.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BankStats {
     /// Requests routed to this bank.
     pub requests: u64,
@@ -112,7 +110,7 @@ impl BankStats {
 
 /// The contended-L2 state: per-bank occupancy, conflict statistics,
 /// and the pending event queue the driver drains into lane streams.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct L2Contention {
     cfg: L2ContentionConfig,
     banks: Vec<Bus>,

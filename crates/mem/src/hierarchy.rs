@@ -5,7 +5,6 @@
 //! All methods take explicit cycle times and return completion times —
 //! the out-of-order core model (`unsync-sim`) owns the clock.
 
-use serde::{Deserialize, Serialize};
 use unsync_isa::exec::splitmix64;
 
 use crate::bus::Bus;
@@ -16,7 +15,7 @@ use crate::mshr::MshrFile;
 use crate::tlb::Tlb;
 
 /// Everything that happened on one data access.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AccessOutcome {
     /// Cycle at which the access's value is available (loads) or the L1
     /// is updated (stores).
@@ -35,7 +34,7 @@ pub struct AccessOutcome {
     pub write_through: Option<u64>,
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct CorePort {
     l1d: Cache,
     l1i: Cache,
@@ -55,7 +54,7 @@ struct CorePort {
 /// datapath, and the write-through/Communication-Buffer drain traffic
 /// rides a separate (per-pair) drain path into the L2; only the L2 itself
 /// (and its MSHRs) is shared.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MemSystem {
     cfg: HierarchyConfig,
     cores: Vec<CorePort>,

@@ -7,17 +7,15 @@
 //! paper instruments ("the stalls caused when the CB is full and the bus
 //! is busy", §V).
 
-use serde::{Deserialize, Serialize};
-
 /// One in-flight miss.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Entry {
     line_addr: u64,
     ready_cycle: u64,
 }
 
 /// Outcome of asking the MSHR file to track a miss.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MshrOutcome {
     /// A new MSHR was allocated; the miss completes at the given cycle.
     Allocated {
@@ -56,7 +54,7 @@ impl MshrOutcome {
 }
 
 /// A file of MSHRs.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MshrFile {
     capacity: usize,
     entries: Vec<Entry>,

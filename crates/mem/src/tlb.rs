@@ -5,11 +5,9 @@
 //! the timing behaviour lives — a hit is free, a miss adds the page-walk
 //! penalty.
 
-use serde::{Deserialize, Serialize};
-
 use crate::config::TlbConfig;
 
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 struct TlbWay {
     vpn: u64,
     valid: bool,
@@ -23,7 +21,7 @@ const INVALID: TlbWay = TlbWay {
 };
 
 /// A set-associative TLB.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Tlb {
     cfg: TlbConfig,
     sets: u64,

@@ -9,10 +9,8 @@
 
 use std::collections::VecDeque;
 
-use serde::{Deserialize, Serialize};
-
 /// One buffered write.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BufferedWrite {
     /// Line address being written.
     pub line_addr: u64,
@@ -23,7 +21,7 @@ pub struct BufferedWrite {
 }
 
 /// A non-coalescing FIFO write buffer of fixed capacity.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct WriteBuffer {
     capacity: usize,
     entries: VecDeque<BufferedWrite>,

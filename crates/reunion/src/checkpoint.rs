@@ -19,14 +19,13 @@
 //! model as the third point between UnSync's always-forward recovery and
 //! Reunion's fine-grained rollback.
 
-use serde::{Deserialize, Serialize};
 use unsync_fault::Fingerprint;
 use unsync_isa::Inst;
 use unsync_mem::MemSystem;
 use unsync_sim::CoreHooks;
 
 /// Parameters of the checkpointing scheme.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CheckpointConfig {
     /// Instructions per checkpoint interval (coarse: thousands).
     pub interval: u32,

@@ -1,9 +1,7 @@
 //! Reunion configuration.
 
-use serde::{Deserialize, Serialize};
-
 /// Parameters of the Reunion checking machinery.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReunionConfig {
     /// Fingerprint interval: instructions summarized per fingerprint
     /// (paper baseline: 10 — "the minimum indicated in \[8\]", §IV-3).

@@ -16,14 +16,13 @@
 //! arithmetic and substitutes the locked retirement clock for the
 //! decoupled one in [`unsync_exec::RedundancyPolicy::finish`].
 
-use serde::{Deserialize, Serialize};
 use unsync_exec::{LaneState, OutcomeCore, RedundancyPolicy, RedundantDriver, TraceEventKind};
 use unsync_isa::{Inst, TraceProgram};
 use unsync_mem::MemSystem;
 use unsync_sim::{CoreConfig, NullHooks};
 
 /// Outcome of a lockstep pair run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LockstepOutcome {
     /// The counters all schemes share (committed, cycles, …). `cycles`
     /// is the *locked* retirement clock.

@@ -24,7 +24,6 @@
 //!   wrong address — the fingerprint summarizes (pc, result), not store
 //!   addresses, so nothing ever fires.
 
-use serde::{Deserialize, Serialize};
 use unsync_exec::{
     LaneState, OutcomeCore, RedundancyPolicy, RedundantDriver, SegmentVerdict, TraceEventKind,
 };
@@ -42,7 +41,7 @@ use crate::hooks::ReunionHooks;
 const MAX_ROLLBACK_RETRIES: u32 = 3;
 
 /// Result of running a redundant pair to completion.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PairOutcome {
     /// The counters all schemes share (committed, cycles, detections,
     /// unrecoverable, silent faults, …).

@@ -1,9 +1,7 @@
 //! Core configuration (defaults = Table I).
 
-use serde::{Deserialize, Serialize};
-
 /// Out-of-order core parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CoreConfig {
     /// Instructions fetched per cycle (Table I: 4-wide).
     pub fetch_width: u32,

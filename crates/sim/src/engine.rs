@@ -2,7 +2,6 @@
 
 use std::collections::VecDeque;
 
-use serde::{Deserialize, Serialize};
 use unsync_isa::exec::splitmix64;
 use unsync_isa::{Inst, OpClass, Reg};
 use unsync_mem::MemSystem;
@@ -13,7 +12,7 @@ use crate::predictor::Gshare;
 use crate::stats::CoreStats;
 
 /// The computed pipeline timestamps of one instruction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct InstTiming {
     /// Fetch cycle.
     pub fetch: u64,
@@ -31,7 +30,7 @@ pub struct InstTiming {
 
 /// Bandwidth tracker: at most `width` events per cycle, requests arriving
 /// with non-decreasing lower bounds (program order).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct WidthTracker {
     cycle: u64,
     used: u32,

@@ -9,8 +9,6 @@
 //! [`crate::OooEngine::with_predictor`]: global history XOR pc indexes a
 //! table of 2-bit saturating counters.
 
-use serde::{Deserialize, Serialize};
-
 /// A gshare branch predictor.
 ///
 /// # Examples
@@ -25,7 +23,7 @@ use serde::{Deserialize, Serialize};
 /// assert!(p.predict(0x400));
 /// assert!(p.mispredict_rate() < 0.1);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Gshare {
     /// log2 of the counter-table size.
     index_bits: u32,

@@ -1,6 +1,5 @@
 //! Whole-trace convenience runners.
 
-use serde::{Deserialize, Serialize};
 use unsync_isa::InstStream;
 use unsync_mem::{HierarchyConfig, MemSystem, WritePolicy};
 
@@ -10,7 +9,7 @@ use crate::hooks::{BaselineHooks, CoreHooks};
 use crate::stats::CoreStats;
 
 /// The result of running one stream to completion on one core.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimResult {
     /// Core-side statistics.
     pub core: CoreStats,

@@ -1,9 +1,7 @@
 //! Per-core simulation statistics.
 
-use serde::{Deserialize, Serialize};
-
 /// Counters and aggregates produced by one core's run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct CoreStats {
     /// Committed instructions.
     pub committed: u64,

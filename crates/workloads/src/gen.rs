@@ -2,7 +2,6 @@
 
 use std::collections::VecDeque;
 
-use serde::Serialize;
 use unsync_isa::{BranchInfo, Inst, InstStream, MemInfo, OpClass, Reg, TraceProgram};
 
 use crate::profile::{Benchmark, BenchmarkProfile};
@@ -20,7 +19,7 @@ const BRANCH_SITES: u64 = 256;
 /// stationary mix. During a memory phase the load/store fractions are
 /// multiplied by `mem_boost` (compute instructions absorb the
 /// difference); phases alternate every `period` instructions.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PhaseModel {
     /// Instructions per phase.
     pub period: u64,
@@ -57,7 +56,7 @@ impl PhaseModel {
 /// // bzip2's defining statistic (Fig. 4): ~2 % serializing instructions.
 /// assert!((stats.serializing_fraction() - 0.02).abs() < 0.005);
 /// ```
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct WorkloadGen {
     profile: BenchmarkProfile,
     length: u64,

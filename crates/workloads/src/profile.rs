@@ -8,10 +8,8 @@
 //! pointer-chasing cache thrasher, galgel a high-ILP dense-FP kernel,
 //! MiBench kernels are small-footprint integer codes, …).
 
-use serde::{Deserialize, Serialize};
-
 /// Which suite a benchmark belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Suite {
     /// SPEC CPU2000.
     Spec2000,
@@ -20,7 +18,7 @@ pub enum Suite {
 }
 
 /// Statistical profile of one benchmark.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BenchmarkProfile {
     /// Program name (paper spelling).
     pub name: &'static str,
@@ -124,7 +122,7 @@ impl BenchmarkProfile {
 macro_rules! benchmarks {
     ($( $variant:ident => $profile:expr ),+ $(,)?) => {
         /// A named benchmark from the paper's evaluation.
-        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
         pub enum Benchmark {
             $(
                 #[doc = concat!("The `", stringify!($variant), "` workload.")]

@@ -7,11 +7,10 @@
 //! counter-based generator with excellent statistical quality for
 //! simulation workloads and O(1) skippability.
 
-use serde::{Deserialize, Serialize};
 use unsync_isa::exec::splitmix64;
 
 /// A deterministic stream of pseudo-random values.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SplitMixStream {
     state: u64,
 }

@@ -2,8 +2,9 @@
 //! [`CampaignGrid`] must produce byte-identical normalized JSONL at
 //! any worker count, and a run killed mid-grid must resume to the same
 //! bytes an uninterrupted run produces. A grid naming an unknown
-//! scheme must come back as an `Err` in bounded time, without touching
-//! the log. Alongside, a property test that the job → SplitMix64
+//! scheme, or a strike grid naming a scheme that takes no uncore
+//! strikes, must come back as an `Err` in bounded time, without
+//! touching the log. Alongside, a property test that the job → SplitMix64
 //! stream mapping never hands two jobs of a grid the same stream.
 
 use std::path::PathBuf;
@@ -124,7 +125,16 @@ fn unknown_scheme_is_rejected_before_the_log_is_touched() {
         contention: None,
         ..strike.clone()
     };
-    for (kind, grid) in [("strike", strike), ("compare", compare)] {
+    // A known comparator that takes no uncore strikes, in a strike grid.
+    let comparator_strike = CampaignGrid {
+        schemes: vec!["unsync_pair", "lockstep"],
+        ..strike_grid()
+    };
+    for (kind, grid, bad) in [
+        ("strike", strike, "no_such_scheme"),
+        ("compare", compare, "no_such_scheme"),
+        ("comparator_strike", comparator_strike, "lockstep"),
+    ] {
         for workers in [1, 2] {
             let path = scratch(&format!("unknown_scheme_{kind}_{workers}"));
             // A partial log of this very grid, so a resume would
@@ -153,11 +163,8 @@ fn unknown_scheme_is_rejected_before_the_log_is_touched() {
                     panic!("{kind} grid at {workers} workers panicked instead of returning Err")
                 }
             };
-            let err = result.expect_err("an unknown scheme must be an Err");
-            assert!(
-                err.contains("no_such_scheme"),
-                "error must name the scheme: {err}"
-            );
+            let err = result.expect_err("a bad scheme must be an Err");
+            assert!(err.contains(bad), "error must name the scheme: {err}");
             let after = std::fs::read_to_string(&path).expect("read log");
             let _ = std::fs::remove_file(&path);
             assert_eq!(
